@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <cstdlib>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -21,6 +22,7 @@
 #include "sql/parser.h"
 #include "sql/template.h"
 #include "sql/template_cache.h"
+#include "workload/tpcw.h"
 
 namespace {
 
@@ -410,5 +412,100 @@ void BM_DbAggregateScan(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DbAggregateScan);
+
+// ---------------------------------------------------------------------------
+// Per-template executor cost on the TPC-W heavy statements: the seven
+// templates that dominate replayed DB time in the real-thread runtimes, on a
+// fixed-seed default-size (50k-item) database with the semijoin pre-filter
+// on, as the runtimes run it. Each iteration executes one prepared variant;
+// the variants cycle through 64 parameter sets so per-row costs dominate.
+// ---------------------------------------------------------------------------
+
+db::Database* TpcwHeavyDb() {
+  static db::Database* db = [] {
+    auto* d = new db::Database();
+    d->set_semijoin_prefilter(true);
+    workload::TpcwWorkload w;  // default scale and seed
+    if (!w.Setup(d).ok()) std::abort();
+    return d;
+  }();
+  return db;
+}
+
+std::string HeavySql(const std::string& tpl, int k) {
+  const auto& subjects = workload::TpcwWorkload::Subjects();
+  const std::string subject = subjects[k % subjects.size()];
+  if (tpl == "title_like") {
+    return "SELECT I_ID, I_TITLE, A_FNAME, A_LNAME FROM ITEM, AUTHOR "
+           "WHERE I_A_ID = A_ID AND I_TITLE LIKE 'TITLE" +
+           std::to_string(1 + (k * 37) % 999) + "%' ORDER BY I_TITLE LIMIT 20";
+  }
+  if (tpl == "best_sellers") {
+    // The window of the 3333 most recent of the 22500 loaded orders.
+    return "SELECT I_ID, I_TITLE, A_FNAME, A_LNAME, SUM(OL_QTY) AS QTY_SOLD "
+           "FROM ITEM, AUTHOR, ORDER_LINE WHERE I_SUBJECT = '" + subject +
+           "' AND A_ID = I_A_ID AND OL_I_ID = I_ID AND OL_O_ID > 19167 "
+           "GROUP BY I_ID, I_TITLE, A_FNAME, A_LNAME "
+           "ORDER BY QTY_SOLD DESC LIMIT 50";
+  }
+  if (tpl == "max_o_id") return "SELECT MAX(O_ID) AS MAX_O_ID FROM ORDERS";
+  if (tpl == "count_items") {
+    return "SELECT COUNT(*) AS ITEM_COUNT FROM ITEM";
+  }
+  if (tpl == "subject_by_title") {
+    return "SELECT I_ID, I_TITLE, A_FNAME, A_LNAME FROM ITEM, AUTHOR "
+           "WHERE I_A_ID = A_ID AND I_SUBJECT = '" + subject +
+           "' ORDER BY I_TITLE LIMIT 20";
+  }
+  if (tpl == "new_products") {
+    return "SELECT I_ID, I_TITLE, A_FNAME, A_LNAME FROM ITEM, AUTHOR "
+           "WHERE I_A_ID = A_ID AND I_SUBJECT = '" + subject +
+           "' ORDER BY I_PUB_DATE DESC, I_TITLE LIMIT 20";
+  }
+  // author_like
+  return "SELECT I_ID, I_TITLE, A_FNAME, A_LNAME FROM ITEM, AUTHOR "
+         "WHERE I_A_ID = A_ID AND A_LNAME LIKE 'LN" +
+         std::to_string((k * 37) % 500) + "%' ORDER BY I_TITLE LIMIT 20";
+}
+
+void BM_ExecuteTpcwHeavy(benchmark::State& state, std::string tpl) {
+  db::Database* db = TpcwHeavyDb();
+  sql::TemplateCache cache;
+  std::vector<sql::AdmittedQuery> variants;
+  for (int k = 0; k < 64; ++k) {
+    auto adm = cache.Admit(HeavySql(tpl, k));
+    if (!adm.ok() || !adm->preparable()) {
+      state.SkipWithError("heavy template not preparable");
+      return;
+    }
+    variants.push_back(std::move(*adm));
+  }
+  size_t i = 0;
+  uint64_t examined = 0;
+  for (auto _ : state) {
+    const sql::AdmittedQuery& q = variants[i++ % variants.size()];
+    auto rs = db->ExecutePrepared(*q.tpl->statement, q.params);
+    if (!rs.ok()) {
+      state.SkipWithError(rs.status().ToString().c_str());
+      return;
+    }
+    examined += (*rs)->rows_examined();
+    benchmark::DoNotOptimize(rs);
+  }
+  state.counters["rows_examined"] = benchmark::Counter(
+      static_cast<double>(examined), benchmark::Counter::kAvgIterations);
+}
+BENCHMARK_CAPTURE(BM_ExecuteTpcwHeavy, title_like, std::string("title_like"));
+BENCHMARK_CAPTURE(BM_ExecuteTpcwHeavy, best_sellers,
+                  std::string("best_sellers"));
+BENCHMARK_CAPTURE(BM_ExecuteTpcwHeavy, max_o_id, std::string("max_o_id"));
+BENCHMARK_CAPTURE(BM_ExecuteTpcwHeavy, count_items,
+                  std::string("count_items"));
+BENCHMARK_CAPTURE(BM_ExecuteTpcwHeavy, subject_by_title,
+                  std::string("subject_by_title"));
+BENCHMARK_CAPTURE(BM_ExecuteTpcwHeavy, new_products,
+                  std::string("new_products"));
+BENCHMARK_CAPTURE(BM_ExecuteTpcwHeavy, author_like,
+                  std::string("author_like"));
 
 }  // namespace

@@ -1,7 +1,8 @@
 #include "db/executor.h"
 
 #include <algorithm>
-#include <cmath>
+#include <memory>
+#include <numeric>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -23,12 +24,16 @@ using sql::ExprKind;
 using util::Result;
 using util::Status;
 
-/// One relation participating in a SELECT: the table plus its effective
+/// One relation participating in a statement: the table plus its effective
 /// (alias-resolved) name.
 struct Relation {
   std::string name;  // effective name used by qualified refs
   const Table* table;
 };
+
+/// A join tuple: one live RowId per relation (only the first `bound` are
+/// meaningful during the join).
+using Tuple = std::vector<RowId>;
 
 /// Column reference resolved to (relation slot, column position).
 struct ResolvedColumn {
@@ -37,32 +42,11 @@ struct ResolvedColumn {
   bool ok() const { return rel >= 0; }
 };
 
-/// Execution context shared by all expression evaluations of one query.
-struct ExecContext {
-  std::vector<Relation> relations;
-  // Resolution cache: column-ref node -> slot.
-  std::unordered_map<const Expr*, ResolvedColumn> resolution;
-  // Finalized aggregate values for the group currently being projected
-  // (set only during aggregate finalization, enabling expressions over
-  // aggregates such as MAX(O_ID) - 3333).
-  const std::unordered_map<const Expr*, Value>* agg_values = nullptr;
-  // Bound parameter values for prepared execution: placeholder expressions
-  // index into this vector. Null for plain text execution, where a
-  // placeholder is an error.
-  const std::vector<Value>* params = nullptr;
-  uint64_t rows_examined = 0;
-};
-
-/// A join tuple: one live RowId per relation (only the first `bound` are
-/// meaningful during join recursion).
-using Tuple = std::vector<RowId>;
-
-Result<ResolvedColumn> ResolveColumn(ExecContext& ctx, const Expr& e) {
-  auto it = ctx.resolution.find(&e);
-  if (it != ctx.resolution.end()) return it->second;
+Result<ResolvedColumn> ResolveColumn(const std::vector<Relation>& relations,
+                                     const Expr& e) {
   ResolvedColumn rc;
-  for (size_t r = 0; r < ctx.relations.size(); ++r) {
-    const auto& rel = ctx.relations[r];
+  for (size_t r = 0; r < relations.size(); ++r) {
+    const auto& rel = relations[r];
     if (!e.table.empty() && e.table != rel.name &&
         e.table != rel.table->schema().table_name()) {
       continue;
@@ -82,7 +66,6 @@ Result<ResolvedColumn> ResolveColumn(ExecContext& ctx, const Expr& e) {
                             (e.table.empty() ? e.column
                                              : e.table + "." + e.column));
   }
-  ctx.resolution.emplace(&e, rc);
   return rc;
 }
 
@@ -93,168 +76,13 @@ bool Truthy(const Value& v) {
   return !v.AsString().empty();
 }
 
-Result<Value> EvalExpr(ExecContext& ctx, const Tuple& tuple, const Expr& e);
-
-Result<Value> EvalBinary(ExecContext& ctx, const Tuple& tuple,
-                         const Expr& e) {
-  // AND/OR short-circuit.
-  if (e.op == BinOp::kAnd || e.op == BinOp::kOr) {
-    auto l = EvalExpr(ctx, tuple, *e.children[0]);
-    if (!l.ok()) return l;
-    bool lv = Truthy(*l);
-    if (e.op == BinOp::kAnd && !lv) return Value::Int(0);
-    if (e.op == BinOp::kOr && lv) return Value::Int(1);
-    auto r = EvalExpr(ctx, tuple, *e.children[1]);
-    if (!r.ok()) return r;
-    return Value::Int(Truthy(*r) ? 1 : 0);
+/// True if the expression tree contains an aggregate call.
+bool HasAggregate(const Expr& e) {
+  if (e.kind == ExprKind::kFuncCall) return true;
+  for (const auto& c : e.children) {
+    if (HasAggregate(*c)) return true;
   }
-  auto l = EvalExpr(ctx, tuple, *e.children[0]);
-  if (!l.ok()) return l;
-  auto r = EvalExpr(ctx, tuple, *e.children[1]);
-  if (!r.ok()) return r;
-  const Value& a = *l;
-  const Value& b = *r;
-  switch (e.op) {
-    case BinOp::kEq:
-      if (a.is_null() || b.is_null()) return Value::Int(0);
-      return Value::Int(a == b ? 1 : 0);
-    case BinOp::kNe:
-      if (a.is_null() || b.is_null()) return Value::Int(0);
-      return Value::Int(a != b ? 1 : 0);
-    case BinOp::kLt:
-      if (a.is_null() || b.is_null()) return Value::Int(0);
-      return Value::Int(a.Compare(b) < 0 ? 1 : 0);
-    case BinOp::kLe:
-      if (a.is_null() || b.is_null()) return Value::Int(0);
-      return Value::Int(a.Compare(b) <= 0 ? 1 : 0);
-    case BinOp::kGt:
-      if (a.is_null() || b.is_null()) return Value::Int(0);
-      return Value::Int(a.Compare(b) > 0 ? 1 : 0);
-    case BinOp::kGe:
-      if (a.is_null() || b.is_null()) return Value::Int(0);
-      return Value::Int(a.Compare(b) >= 0 ? 1 : 0);
-    case BinOp::kLike: {
-      if (!a.is_string() || !b.is_string()) return Value::Int(0);
-      bool m = util::LikeMatch(a.AsString(), b.AsString());
-      if (e.negated) m = !m;
-      return Value::Int(m ? 1 : 0);
-    }
-    case BinOp::kAdd:
-    case BinOp::kSub:
-    case BinOp::kMul:
-    case BinOp::kDiv: {
-      if (a.is_null() || b.is_null()) return Value::Null();
-      if (!a.is_numeric() || !b.is_numeric()) {
-        return Status::TypeError("arithmetic on non-numeric value");
-      }
-      if (a.is_int() && b.is_int() && e.op != BinOp::kDiv) {
-        int64_t x = a.AsInt();
-        int64_t y = b.AsInt();
-        switch (e.op) {
-          case BinOp::kAdd: return Value::Int(x + y);
-          case BinOp::kSub: return Value::Int(x - y);
-          case BinOp::kMul: return Value::Int(x * y);
-          default: break;
-        }
-      }
-      double x = a.ToDouble();
-      double y = b.ToDouble();
-      switch (e.op) {
-        case BinOp::kAdd: return Value::Double(x + y);
-        case BinOp::kSub: return Value::Double(x - y);
-        case BinOp::kMul: return Value::Double(x * y);
-        case BinOp::kDiv:
-          if (y == 0.0) return Value::Null();
-          return Value::Double(x / y);
-        default: break;
-      }
-      return Status::Internal("unreachable arithmetic op");
-    }
-    default:
-      return Status::Internal("unexpected binary op in eval");
-  }
-}
-
-Result<Value> EvalExpr(ExecContext& ctx, const Tuple& tuple, const Expr& e) {
-  switch (e.kind) {
-    case ExprKind::kLiteral:
-      return e.literal;
-    case ExprKind::kPlaceholder:
-      if (ctx.params != nullptr &&
-          e.placeholder_index >= 0 &&
-          static_cast<size_t>(e.placeholder_index) < ctx.params->size()) {
-        return (*ctx.params)[e.placeholder_index];
-      }
-      return Status::InvalidArgument("unbound placeholder in execution");
-    case ExprKind::kColumnRef: {
-      auto rc = ResolveColumn(ctx, e);
-      if (!rc.ok()) return rc.status();
-      return ctx.relations[rc->rel].table->At(tuple[rc->rel])[rc->col];
-    }
-    case ExprKind::kStar:
-      return Status::InvalidArgument("'*' outside select list / COUNT");
-    case ExprKind::kUnaryMinus: {
-      auto v = EvalExpr(ctx, tuple, *e.children[0]);
-      if (!v.ok()) return v;
-      if (v->is_null()) return Value::Null();
-      if (v->is_int()) return Value::Int(-v->AsInt());
-      if (v->is_double()) return Value::Double(-v->AsDoubleRaw());
-      return Status::TypeError("unary minus on non-numeric");
-    }
-    case ExprKind::kNot: {
-      auto v = EvalExpr(ctx, tuple, *e.children[0]);
-      if (!v.ok()) return v;
-      return Value::Int(Truthy(*v) ? 0 : 1);
-    }
-    case ExprKind::kBinary:
-      return EvalBinary(ctx, tuple, e);
-    case ExprKind::kFuncCall: {
-      if (ctx.agg_values != nullptr) {
-        auto it = ctx.agg_values->find(&e);
-        if (it != ctx.agg_values->end()) return it->second;
-      }
-      return Status::InvalidArgument(
-          "aggregate function outside aggregation context");
-    }
-    case ExprKind::kInList: {
-      auto v = EvalExpr(ctx, tuple, *e.children[0]);
-      if (!v.ok()) return v;
-      if (v->is_null()) return Value::Int(0);
-      bool found = false;
-      for (size_t i = 1; i < e.children.size(); ++i) {
-        auto item = EvalExpr(ctx, tuple, *e.children[i]);
-        if (!item.ok()) return item;
-        if (*v == *item) {
-          found = true;
-          break;
-        }
-      }
-      if (e.negated) found = !found;
-      return Value::Int(found ? 1 : 0);
-    }
-    case ExprKind::kBetween: {
-      auto v = EvalExpr(ctx, tuple, *e.children[0]);
-      if (!v.ok()) return v;
-      auto lo = EvalExpr(ctx, tuple, *e.children[1]);
-      if (!lo.ok()) return lo;
-      auto hi = EvalExpr(ctx, tuple, *e.children[2]);
-      if (!hi.ok()) return hi;
-      if (v->is_null() || lo->is_null() || hi->is_null()) {
-        return Value::Int(0);
-      }
-      bool in = v->Compare(*lo) >= 0 && v->Compare(*hi) <= 0;
-      if (e.negated) in = !in;
-      return Value::Int(in ? 1 : 0);
-    }
-    case ExprKind::kIsNull: {
-      auto v = EvalExpr(ctx, tuple, *e.children[0]);
-      if (!v.ok()) return v;
-      bool is_null = v->is_null();
-      if (e.negated) is_null = !is_null;
-      return Value::Int(is_null ? 1 : 0);
-    }
-  }
-  return Status::Internal("unreachable expr kind");
+  return false;
 }
 
 /// Flattens an AND tree into conjuncts.
@@ -268,51 +96,443 @@ void FlattenConjuncts(const Expr* e, std::vector<const Expr*>* out) {
   out->push_back(e);
 }
 
-/// Relations referenced by an expression subtree (as a bitmask; supports up
-/// to 64 relations, far beyond the dialect's practical use).
-Result<uint64_t> RelMask(ExecContext& ctx, const Expr& e) {
-  uint64_t mask = 0;
-  Status failed = Status::OK();
-  std::function<void(const Expr&)> walk = [&](const Expr& node) {
-    if (node.kind == ExprKind::kColumnRef) {
-      auto rc = ResolveColumn(ctx, node);
-      if (!rc.ok()) {
-        if (failed.ok()) failed = rc.status();
-        return;
-      }
-      mask |= (1ull << rc->rel);
-    }
-    for (const auto& c : node.children) walk(*c);
-  };
-  walk(e);
-  if (!failed.ok()) return failed;
-  return mask;
+enum class AggFunc { kCount, kMin, kMax, kSum, kAvg, kOther };
+
+AggFunc ParseAggFunc(const std::string& f) {
+  if (f == "COUNT") return AggFunc::kCount;
+  if (f == "MIN") return AggFunc::kMin;
+  if (f == "MAX") return AggFunc::kMax;
+  if (f == "SUM") return AggFunc::kSum;
+  if (f == "AVG") return AggFunc::kAvg;
+  return AggFunc::kOther;
 }
 
-/// True if the expression tree contains an aggregate call.
-bool HasAggregate(const Expr& e) {
-  if (e.kind == ExprKind::kFuncCall) return true;
-  for (const auto& c : e.children) {
-    if (HasAggregate(*c)) return true;
+/// Value::Compare with the same-type INT and STRING cases inline.
+inline int CompareValues(const Value& a, const Value& b) {
+  if (a.is_int() && b.is_int()) {
+    return a.AsInt() < b.AsInt() ? -1 : (a.AsInt() > b.AsInt() ? 1 : 0);
   }
-  return false;
+  if (a.is_string() && b.is_string()) {
+    return a.AsString().compare(b.AsString());
+  }
+  return a.Compare(b);
 }
 
-/// Aggregator state for one select item of an aggregate query.
+bool IsArithmetic(BinOp op) {
+  return op == BinOp::kAdd || op == BinOp::kSub || op == BinOp::kMul ||
+         op == BinOp::kDiv;
+}
+
+/// One expression node compiled for a query: column references resolved
+/// to a (relation, column) slot, literals and bound placeholders pointed
+/// at, constant LIKE patterns compiled. Resolution and binding errors are
+/// recorded, not raised: they surface when (and only if) the node is
+/// evaluated, exactly where the reference evaluator raised them.
+struct Node {
+  const Expr* expr = nullptr;
+  ExprKind kind = ExprKind::kLiteral;
+  BinOp op = BinOp::kEq;
+  bool negated = false;
+  // A literal, bound placeholder or resolved column: evaluation borrows a
+  // value in place and cannot fail.
+  bool leaf = false;
+  // A comparison or LIKE over leaves: tested inline, cannot fail.
+  bool leaf_pred = false;
+  bool distinct = false;         // kFuncCall: COUNT(DISTINCT x)
+  AggFunc func = AggFunc::kOther;  // kFuncCall
+  int first_kid = 0;             // children are nodes [first_kid, +num_kids)
+  int num_kids = 0;
+  int rel = -1;                  // kColumnRef: relation slot
+  int col = -1;                  // kColumnRef: column position
+  const Table* table = nullptr;  // kColumnRef: relation's table
+  int agg = -1;                  // kFuncCall: aggregate slot, if collected
+  int like = -1;                 // kLike with a constant pattern: its slot
+  int error = -1;                // deferred resolution/binding error slot
+  const Value* value = nullptr;  // kLiteral / bound kPlaceholder
+};
+
+const Value kOne = Value::Int(1);  // COUNT(*)'s per-row input
+
+/// The compiled expressions of one statement plus their evaluator.
+///
+/// Evaluation borrows: a leaf yields a pointer to the row cell, literal or
+/// bound parameter, and only computed values (arithmetic, predicates used
+/// as values) are written to a caller-provided scratch Value. Predicates
+/// are tested straight to a truth value. Errors return null / -1 and leave
+/// the Status in error().
+class ExprTable {
+ public:
+  ExprTable(const std::vector<Relation>* relations,
+            const std::vector<Value>* params)
+      : relations_(relations), params_(params) {}
+
+  /// Compiles `e` (and its subtree) against the current relations; returns
+  /// the node id.
+  int Add(const Expr& e) {
+    const int id = static_cast<int>(nodes_.size());
+    nodes_.emplace_back();
+    Fill(id, e);
+    return id;
+  }
+
+  const Node& node(int id) const { return nodes_[id]; }
+  Node& mutable_node(int id) { return nodes_[id]; }
+  const Node& kid(const Node& n, int i) const {
+    return nodes_[n.first_kid + i];
+  }
+  int kid_id(const Node& n, int i) const { return n.first_kid + i; }
+
+  /// The borrowed value of a leaf node.
+  static const Value* Leaf(const Node& n, const RowId* tuple) {
+    return n.value != nullptr ? n.value : &n.table->At(tuple[n.rel])[n.col];
+  }
+
+  const Status& error() const { return error_; }
+  const Status& deferred_error(const Node& n) const {
+    return errors_[n.error];
+  }
+
+  /// Finalized aggregate values (indexed by aggregate slot) visible to
+  /// kFuncCall nodes; null outside aggregate finalization.
+  void set_agg_values(const Value* values) { agg_values_ = values; }
+
+  /// The value of `n` over `tuple`; see class comment.
+  const Value* Eval(const Node& n, const RowId* tuple, Value* scratch) {
+    if (n.leaf) return Leaf(n, tuple);
+    switch (n.kind) {
+      case ExprKind::kPlaceholder:
+      case ExprKind::kColumnRef:
+        return Fail(errors_[n.error]);  // unresolved or unbound
+      case ExprKind::kStar:
+        return Fail(
+            Status::InvalidArgument("'*' outside select list / COUNT"));
+      case ExprKind::kUnaryMinus: {
+        const Value* v = Eval(kid(n, 0), tuple, scratch);
+        if (v == nullptr) return nullptr;
+        if (v->is_null()) {
+          *scratch = Value::Null();
+        } else if (v->is_int()) {
+          *scratch = Value::Int(-v->AsInt());
+        } else if (v->is_double()) {
+          *scratch = Value::Double(-v->AsDoubleRaw());
+        } else {
+          return Fail(Status::TypeError("unary minus on non-numeric"));
+        }
+        return scratch;
+      }
+      case ExprKind::kFuncCall:
+        if (agg_values_ != nullptr && n.agg >= 0) return &agg_values_[n.agg];
+        return Fail(Status::InvalidArgument(
+            "aggregate function outside aggregation context"));
+      case ExprKind::kBinary:
+        if (IsArithmetic(n.op)) return Arithmetic(n, tuple, scratch);
+        break;
+      default:
+        break;
+    }
+    const int t = Test(n, tuple);
+    if (t < 0) return nullptr;
+    *scratch = Value::Int(t);
+    return scratch;
+  }
+
+  /// Test() with leaf predicates — most WHERE/ON conjuncts — decided
+  /// inline.
+  int Check(const Node& n, const RowId* tuple) {
+    if (!n.leaf_pred) return Test(n, tuple);
+    const Value& a = *Leaf(kid(n, 0), tuple);
+    return n.like >= 0 ? MatchLike(n, a)
+                       : Decide(n, a, *Leaf(kid(n, 1), tuple));
+  }
+
+  /// Truth of `n` as a predicate over `tuple`: 1, 0, or -1 on error.
+  int Test(const Node& n, const RowId* tuple) {
+    switch (n.kind) {
+      case ExprKind::kBinary:
+        return TestBinary(n, tuple);
+      case ExprKind::kNot: {
+        const int t = Test(kid(n, 0), tuple);
+        return t < 0 ? -1 : (t == 0 ? 1 : 0);
+      }
+      case ExprKind::kInList: {
+        Value sv;
+        Value si;
+        const Value* v = Eval(kid(n, 0), tuple, &sv);
+        if (v == nullptr) return -1;
+        if (v->is_null()) return 0;
+        bool found = false;
+        for (int i = 1; i < n.num_kids; ++i) {
+          const Value* item = Eval(kid(n, i), tuple, &si);
+          if (item == nullptr) return -1;
+          if (CompareValues(*v, *item) == 0) {
+            found = true;
+            break;
+          }
+        }
+        return found != n.negated ? 1 : 0;
+      }
+      case ExprKind::kBetween: {
+        Value sv;
+        Value slo;
+        Value shi;
+        const Value* v = Eval(kid(n, 0), tuple, &sv);
+        if (v == nullptr) return -1;
+        const Value* lo = Eval(kid(n, 1), tuple, &slo);
+        if (lo == nullptr) return -1;
+        const Value* hi = Eval(kid(n, 2), tuple, &shi);
+        if (hi == nullptr) return -1;
+        if (v->is_null() || lo->is_null() || hi->is_null()) return 0;
+        const bool in =
+            CompareValues(*v, *lo) >= 0 && CompareValues(*v, *hi) <= 0;
+        return in != n.negated ? 1 : 0;
+      }
+      case ExprKind::kIsNull: {
+        Value sv;
+        const Value* v = Eval(kid(n, 0), tuple, &sv);
+        if (v == nullptr) return -1;
+        return v->is_null() != n.negated ? 1 : 0;
+      }
+      default: {
+        if (n.leaf) return Truthy(*Leaf(n, tuple)) ? 1 : 0;
+        Value sv;
+        const Value* v = Eval(n, tuple, &sv);
+        if (v == nullptr) return -1;
+        return Truthy(*v) ? 1 : 0;
+      }
+    }
+  }
+
+ private:
+  void Fill(int id, const Expr& e) {
+    const int first = static_cast<int>(nodes_.size());
+    nodes_.resize(nodes_.size() + e.children.size());
+    {
+      Node& n = nodes_[id];
+      n.expr = &e;
+      n.kind = e.kind;
+      n.op = e.op;
+      n.negated = e.negated;
+      n.distinct = e.distinct;
+      n.first_kid = first;
+      n.num_kids = static_cast<int>(e.children.size());
+      switch (e.kind) {
+        case ExprKind::kLiteral:
+          n.value = &e.literal;
+          n.leaf = true;
+          break;
+        case ExprKind::kPlaceholder:
+          if (params_ != nullptr && e.placeholder_index >= 0 &&
+              static_cast<size_t>(e.placeholder_index) < params_->size()) {
+            n.value = &(*params_)[e.placeholder_index];
+            n.leaf = true;
+          } else {
+            n.error = Defer(Status::InvalidArgument(
+                "unbound placeholder in execution"));
+          }
+          break;
+        case ExprKind::kColumnRef: {
+          auto rc = ResolveColumn(*relations_, e);
+          if (rc.ok()) {
+            n.rel = rc->rel;
+            n.col = rc->col;
+            n.table = (*relations_)[rc->rel].table;
+            n.leaf = true;
+          } else {
+            n.error = Defer(rc.status());
+          }
+          break;
+        }
+        case ExprKind::kFuncCall:
+          n.func = ParseAggFunc(e.func);
+          break;
+        default:
+          break;
+      }
+    }
+    for (size_t i = 0; i < e.children.size(); ++i) {
+      Fill(first + static_cast<int>(i), *e.children[i]);
+    }
+    if (e.kind == ExprKind::kBinary && e.op == BinOp::kLike) {
+      const Node& pattern = nodes_[first + 1];
+      if (pattern.leaf && pattern.value != nullptr &&
+          pattern.value->is_string()) {
+        nodes_[id].like = static_cast<int>(likes_.size());
+        likes_.emplace_back(pattern.value->AsString());
+      }
+    }
+    if (e.kind == ExprKind::kBinary && e.op != BinOp::kAnd &&
+        e.op != BinOp::kOr && !IsArithmetic(e.op)) {
+      nodes_[id].leaf_pred = nodes_[first].leaf && nodes_[first + 1].leaf;
+    }
+  }
+
+  int Defer(Status st) {
+    errors_.push_back(std::move(st));
+    return static_cast<int>(errors_.size()) - 1;
+  }
+
+  const Value* Fail(const Status& st) {
+    error_ = st;
+    return nullptr;
+  }
+
+  const Value* Arithmetic(const Node& n, const RowId* tuple, Value* scratch) {
+    Value sa;
+    const Value* a = Eval(kid(n, 0), tuple, &sa);
+    if (a == nullptr) return nullptr;
+    const Value* b = Eval(kid(n, 1), tuple, scratch);
+    if (b == nullptr) return nullptr;
+    if (a->is_null() || b->is_null()) {
+      *scratch = Value::Null();
+      return scratch;
+    }
+    if (!a->is_numeric() || !b->is_numeric()) {
+      return Fail(Status::TypeError("arithmetic on non-numeric value"));
+    }
+    if (a->is_int() && b->is_int() && n.op != BinOp::kDiv) {
+      const int64_t x = a->AsInt();
+      const int64_t y = b->AsInt();
+      switch (n.op) {
+        case BinOp::kAdd: *scratch = Value::Int(x + y); return scratch;
+        case BinOp::kSub: *scratch = Value::Int(x - y); return scratch;
+        case BinOp::kMul: *scratch = Value::Int(x * y); return scratch;
+        default: break;
+      }
+    }
+    const double x = a->ToDouble();
+    const double y = b->ToDouble();
+    switch (n.op) {
+      case BinOp::kAdd: *scratch = Value::Double(x + y); break;
+      case BinOp::kSub: *scratch = Value::Double(x - y); break;
+      case BinOp::kMul: *scratch = Value::Double(x * y); break;
+      default:  // kDiv
+        *scratch = y == 0.0 ? Value::Null() : Value::Double(x / y);
+        break;
+    }
+    return scratch;
+  }
+
+  int TestBinary(const Node& n, const RowId* tuple) {
+    // AND/OR short-circuit.
+    if (n.op == BinOp::kAnd || n.op == BinOp::kOr) {
+      const int l = Test(kid(n, 0), tuple);
+      if (l < 0) return -1;
+      if (n.op == BinOp::kAnd && l == 0) return 0;
+      if (n.op == BinOp::kOr && l == 1) return 1;
+      return Test(kid(n, 1), tuple);
+    }
+    if (n.leaf_pred) return Check(n, tuple);
+    Value sa;
+    if (IsArithmetic(n.op)) {
+      const Value* v = Arithmetic(n, tuple, &sa);
+      if (v == nullptr) return -1;
+      return Truthy(*v) ? 1 : 0;
+    }
+    const Value* a = Eval(kid(n, 0), tuple, &sa);
+    if (a == nullptr) return -1;
+    // A compiled LIKE pattern is a constant: nothing to evaluate on the
+    // right.
+    if (n.like >= 0) return MatchLike(n, *a);
+    Value sb;
+    const Value* b = Eval(kid(n, 1), tuple, &sb);
+    if (b == nullptr) return -1;
+    return Decide(n, *a, *b);
+  }
+
+  int MatchLike(const Node& n, const Value& a) const {
+    if (!a.is_string()) return 0;
+    return likes_[n.like].Matches(a.AsString()) != n.negated ? 1 : 0;
+  }
+
+  /// Comparison / LIKE verdict over evaluated operands.
+  int Decide(const Node& n, const Value& a, const Value& b) {
+    if (n.op == BinOp::kLike) {
+      if (!a.is_string() || !b.is_string()) return 0;
+      return util::LikeMatch(a.AsString(), b.AsString()) != n.negated ? 1
+                                                                       : 0;
+    }
+    if (a.is_null() || b.is_null()) return 0;
+    const int c = CompareValues(a, b);
+    switch (n.op) {
+      case BinOp::kEq: return c == 0 ? 1 : 0;
+      case BinOp::kNe: return c != 0 ? 1 : 0;
+      case BinOp::kLt: return c < 0 ? 1 : 0;
+      case BinOp::kLe: return c <= 0 ? 1 : 0;
+      case BinOp::kGt: return c > 0 ? 1 : 0;
+      case BinOp::kGe: return c >= 0 ? 1 : 0;
+      default: break;
+    }
+    Fail(Status::Internal("unexpected binary op in eval"));
+    return -1;
+  }
+
+  const std::vector<Relation>* relations_;
+  const std::vector<Value>* params_;
+  std::vector<Node> nodes_;
+  std::vector<Status> errors_;
+  std::vector<util::LikePattern> likes_;
+  const Value* agg_values_ = nullptr;
+  Status error_;
+};
+
+/// Aggregator state for one aggregate call of one group.
 struct AggState {
   int64_t count = 0;
   double sum = 0;
   bool sum_is_int = true;
   int64_t isum = 0;
-  Value min, max;
+  Value extreme;  // MIN / MAX only
   bool any = false;
   std::unordered_set<uint64_t> distinct;
 };
 
+/// Folds one input value into an aggregate (SQL aggregates skip NULLs).
+void Accumulate(const Node& e, const Value& v, AggState* agg) {
+  if (v.is_null()) return;
+  if (e.distinct && !agg->distinct.insert(v.Hash()).second) return;
+  ++agg->count;
+  if (v.is_numeric()) {
+    if (v.is_int() && agg->sum_is_int) {
+      agg->isum += v.AsInt();
+    } else {
+      if (agg->sum_is_int) {
+        agg->sum = static_cast<double>(agg->isum);
+        agg->sum_is_int = false;
+      }
+      agg->sum += v.ToDouble();
+    }
+  }
+  if ((e.func == AggFunc::kMin &&
+       (!agg->any || CompareValues(v, agg->extreme) < 0)) ||
+      (e.func == AggFunc::kMax &&
+       (!agg->any || CompareValues(v, agg->extreme) > 0))) {
+    agg->extreme = v;
+  }
+  agg->any = true;
+}
+
+Result<Value> FinalizeAgg(const Node& e, const AggState& agg) {
+  if (e.func == AggFunc::kCount) return Value::Int(agg.count);
+  if (!agg.any) return Value::Null();
+  switch (e.func) {
+    case AggFunc::kMin:
+    case AggFunc::kMax:
+      return agg.extreme;
+    case AggFunc::kSum:
+      return agg.sum_is_int ? Value::Int(agg.isum) : Value::Double(agg.sum);
+    case AggFunc::kAvg: {
+      double total = agg.sum_is_int ? static_cast<double>(agg.isum) : agg.sum;
+      return Value::Double(total / static_cast<double>(agg.count));
+    }
+    default:
+      return Status::Unimplemented("unknown aggregate " + e.expr->func);
+  }
+}
+
 struct Conjunct {
-  const Expr* expr;
-  uint64_t mask;      // relations referenced
-  int max_rel;        // highest relation slot referenced (-1 if none)
+  int node;       // compiled expression
+  uint64_t mask;  // relations referenced
+  int max_rel;    // highest relation slot referenced (-1 if none)
 };
 
 std::string OutputName(const sql::SelectItem& item) {
@@ -324,9 +544,23 @@ std::string OutputName(const sql::SelectItem& item) {
 
 /// Key describing one equality `column = <source>` usable for index probes.
 struct EqKey {
-  int col;                   // column position in the target relation
-  const Expr* value_expr;    // literal or bound column-ref expression
+  int col;         // column position in the target relation
+  int value_node;  // literal, placeholder or bound column-ref expression
 };
+
+/// Copies the values of nodes srcs[0, n) (evaluated over `tuple`) into
+/// `key`. Returns false on an evaluation error.
+bool BuildKey(ExprTable& exprs, const int* srcs, size_t n, const RowId* tuple,
+              std::vector<Value>* key) {
+  key->resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    Value* slot = &(*key)[i];
+    const Value* v = exprs.Eval(exprs.node(srcs[i]), tuple, slot);
+    if (v == nullptr) return false;
+    if (v != slot) *slot = *v;
+  }
+  return true;
+}
 
 class SelectRunner {
  public:
@@ -334,9 +568,8 @@ class SelectRunner {
                const std::vector<Value>* params, bool semijoin_prefilter)
       : catalog_(catalog),
         sel_(sel),
-        semijoin_prefilter_(semijoin_prefilter) {
-    ctx_.params = params;
-  }
+        exprs_(&relations_, params),
+        semijoin_prefilter_(semijoin_prefilter) {}
 
   Result<ResultSetPtr> Run() {
     APOLLO_RETURN_NOT_OK(SetupRelations());
@@ -345,9 +578,7 @@ class SelectRunner {
     for (const auto& item : sel_.items) {
       if (HasAggregate(*item.expr)) aggregate = true;
     }
-    Result<ResultSetPtr> rs =
-        aggregate ? RunAggregate() : RunProjection();
-    return rs;
+    return aggregate ? RunAggregate() : RunProjection();
   }
 
  private:
@@ -357,15 +588,33 @@ class SelectRunner {
       if (t == nullptr) {
         return Status::NotFound("unknown table " + tr.table);
       }
-      ctx_.relations.push_back({tr.EffectiveName(), t});
+      relations_.push_back({tr.EffectiveName(), t});
       return Status::OK();
     };
     for (const auto& tr : sel_.tables) APOLLO_RETURN_NOT_OK(add(tr));
     for (const auto& j : sel_.joins) APOLLO_RETURN_NOT_OK(add(j.table));
-    if (ctx_.relations.size() > 64) {
+    if (relations_.size() > 64) {
       return Status::Unimplemented("too many relations");
     }
     return Status::OK();
+  }
+
+  /// Relations referenced by a compiled subtree (as a bitmask; supports up
+  /// to 64 relations, far beyond the dialect's practical use). Fails with
+  /// the first unresolvable column in pre-order.
+  Result<uint64_t> RelMask(int id) const {
+    const Node& n = exprs_.node(id);
+    uint64_t mask = 0;
+    if (n.kind == ExprKind::kColumnRef) {
+      if (n.error >= 0) return exprs_.deferred_error(n);
+      mask |= 1ull << n.rel;
+    }
+    for (int i = 0; i < n.num_kids; ++i) {
+      auto m = RelMask(exprs_.kid_id(n, i));
+      if (!m.ok()) return m;
+      mask |= *m;
+    }
+    return mask;
   }
 
   Status SetupPredicates() {
@@ -375,24 +624,24 @@ class SelectRunner {
       FlattenConjuncts(j.on.get(), &conjuncts);
     }
     for (const Expr* c : conjuncts) {
-      auto mask = RelMask(ctx_, *c);
+      const int id = exprs_.Add(*c);
+      auto mask = RelMask(id);
       if (!mask.ok()) return mask.status();
       int max_rel = -1;
       uint64_t m = *mask;
       for (int r = 0; r < 64; ++r) {
         if (m & (1ull << r)) max_rel = r;
       }
-      conjuncts_.push_back({c, m, max_rel});
+      conjuncts_.push_back({id, m, max_rel});
     }
     return BuildStepPlans();
   }
 
   Status BuildStepPlans() {
-    step_plans_.resize(ctx_.relations.size());
-    for (int step = 0; step < static_cast<int>(ctx_.relations.size());
-         ++step) {
+    step_plans_.resize(relations_.size());
+    for (int step = 0; step < static_cast<int>(relations_.size()); ++step) {
       StepPlan& plan = step_plans_[step];
-      const Table* table = ctx_.relations[step].table;
+      const Table* table = relations_[step].table;
       std::vector<EqKey> keys;
       CollectEqKeys(step, &keys);
       if (!keys.empty()) {
@@ -403,7 +652,7 @@ class SelectRunner {
           for (int pos : table->IndexColumns(plan.index)) {
             for (const auto& k : keys) {
               if (k.col == pos) {
-                plan.probe.push_back(k.value_expr);
+                plan.probe.push_back(k.value_node);
                 break;
               }
             }
@@ -413,7 +662,8 @@ class SelectRunner {
       for (size_t ci = 0; ci < conjuncts_.size(); ++ci) {
         if (conjuncts_[ci].max_rel != step) continue;
         plan.conjuncts.push_back(static_cast<int>(ci));
-        if (conjuncts_[ci].mask == (1ull << step)) {
+        // Step 0 visits each candidate once, so a memo would never hit.
+        if (step > 0 && conjuncts_[ci].mask == (1ull << step)) {
           plan.memo_slot.push_back(static_cast<int>(plan.memo.size()));
           plan.memo.emplace_back();
         } else {
@@ -433,33 +683,30 @@ class SelectRunner {
   /// probe keys need no bound relations). Same gate and same result-
   /// identity argument as the semijoin pre-filter.
   void PlanInListProbes() {
-    for (int step = 0; step < static_cast<int>(ctx_.relations.size());
-         ++step) {
+    for (int step = 0; step < static_cast<int>(relations_.size()); ++step) {
       StepPlan& plan = step_plans_[step];
       if (plan.index >= 0) continue;
-      const Table* table = ctx_.relations[step].table;
+      const Table* table = relations_[step].table;
       for (int ci : plan.conjuncts) {
-        const Expr* e = conjuncts_[ci].expr;
-        if (e->kind != ExprKind::kInList || e->negated) continue;
+        const Node& e = exprs_.node(conjuncts_[ci].node);
+        if (e.kind != ExprKind::kInList || e.negated) continue;
         if (conjuncts_[ci].mask != (1ull << step)) continue;
-        const Expr* col = e->children[0].get();
-        if (col->kind != ExprKind::kColumnRef) continue;
-        bool probeable = e->children.size() > 1;
-        for (size_t i = 1; i < e->children.size(); ++i) {
-          const auto k = e->children[i]->kind;
+        const Node& col = exprs_.kid(e, 0);
+        if (col.kind != ExprKind::kColumnRef) continue;
+        bool probeable = e.num_kids > 1;
+        for (int i = 1; i < e.num_kids; ++i) {
+          const auto k = exprs_.kid(e, i).kind;
           if (k != ExprKind::kLiteral && k != ExprKind::kPlaceholder) {
             probeable = false;
             break;
           }
         }
-        if (!probeable) continue;
-        auto rc = ResolveColumn(ctx_, *col);
-        if (!rc.ok()) continue;
-        int idx = table->FindUsableIndex({rc->col});
+        if (!probeable || col.error >= 0) continue;
+        int idx = table->FindUsableIndex({col.col});
         if (idx < 0) continue;
         plan.in_index = idx;
-        for (size_t i = 1; i < e->children.size(); ++i) {
-          plan.in_items.push_back(e->children[i].get());
+        for (int i = 1; i < e.num_kids; ++i) {
+          plan.in_items.push_back(exprs_.kid_id(e, i));
         }
         break;
       }
@@ -472,10 +719,10 @@ class SelectRunner {
   /// relation indexes. The sim cost model is calibrated against the scan
   /// plan, so this is gated behind Database::set_semijoin_prefilter.
   void PlanSemijoin() {
-    if (ctx_.relations.size() < 2) return;
+    if (relations_.size() < 2) return;
     StepPlan& plan = step_plans_[0];
     if (plan.index >= 0) return;  // already index-driven
-    for (int r = 1; r < static_cast<int>(ctx_.relations.size()); ++r) {
+    for (int r = 1; r < static_cast<int>(relations_.size()); ++r) {
       bool has_own_filter = false;
       for (const auto& c : conjuncts_) {
         if (c.mask == (1ull << r)) has_own_filter = true;
@@ -483,50 +730,45 @@ class SelectRunner {
       if (!has_own_filter) continue;  // unselective: scan is as good
       for (const auto& c : conjuncts_) {
         if (c.mask != ((1ull << 0) | (1ull << r))) continue;
-        const Expr* e = c.expr;
-        if (e->kind != ExprKind::kBinary || e->op != BinOp::kEq) continue;
-        const Expr* l = e->children[0].get();
-        const Expr* rr = e->children[1].get();
-        if (l->kind != ExprKind::kColumnRef ||
-            rr->kind != ExprKind::kColumnRef) {
+        const Node& e = exprs_.node(c.node);
+        if (e.kind != ExprKind::kBinary || e.op != BinOp::kEq) continue;
+        const Node& l = exprs_.kid(e, 0);
+        const Node& rr = exprs_.kid(e, 1);
+        if (l.kind != ExprKind::kColumnRef ||
+            rr.kind != ExprKind::kColumnRef) {
           continue;
         }
-        auto lc = ResolveColumn(ctx_, *l);
-        auto rc = ResolveColumn(ctx_, *rr);
-        if (!lc.ok() || !rc.ok()) continue;
-        const Expr* outer_col = nullptr;
-        const Expr* inner_col = nullptr;
-        if (lc->rel == 0 && rc->rel == r) {
-          outer_col = l;
-          inner_col = rr;
-        } else if (rc->rel == 0 && lc->rel == r) {
-          outer_col = rr;
-          inner_col = l;
+        int outer_col;
+        int inner_node;
+        if (l.rel == 0 && rr.rel == r) {
+          outer_col = l.col;
+          inner_node = exprs_.kid_id(e, 1);
+        } else if (rr.rel == 0 && l.rel == r) {
+          outer_col = rr.col;
+          inner_node = exprs_.kid_id(e, 0);
         } else {
           continue;
         }
-        auto oc = ResolveColumn(ctx_, *outer_col);
-        int idx = ctx_.relations[0].table->FindUsableIndex({oc->col});
+        int idx = relations_[0].table->FindUsableIndex({outer_col});
         if (idx < 0) continue;
         plan.semi_rel = r;
         plan.semi_index = idx;
-        plan.semi_probe = inner_col;
+        plan.semi_probe = inner_node;
         return;
       }
     }
   }
 
-  /// Per-step access plan, computed once per query so the join recursion
-  /// does no planning work per outer row (the planning constant dominates
-  /// wide scans: TPC-W's 50k-item search paid ~1us/row re-deriving it).
+  /// Per-step access plan, computed once per query so the join does no
+  /// planning work per outer row.
   struct StepPlan {
-    int index = -1;                    // usable index on this relation, or -1
-    std::vector<const Expr*> probe;    // probe source expr per index column
-    std::vector<int> conjuncts;        // conjuncts_ slots with max_rel == step
-    // For conjuncts[i] referencing ONLY this relation: slot into memo_,
-    // else -1. Their verdict depends on tuple[step] alone, so it is cached
-    // per RowId — a LIKE over the probed side runs once per distinct row
-    // instead of once per outer row.
+    int index = -1;                // usable index on this relation, or -1
+    std::vector<int> probe;        // probe source node per index column
+    std::vector<int> conjuncts;    // conjuncts_ slots with max_rel == step
+    // For conjuncts[i] referencing ONLY this relation (inner steps): slot
+    // into memo, else -1. Their verdict depends on tuple[step] alone, so
+    // it is cached per RowId — a LIKE over the probed side runs once per
+    // distinct row instead of once per outer row.
     std::vector<int> memo_slot;
     // Tri-state per memoized conjunct per RowId: 0 unknown, 1 pass, 2 fail.
     std::vector<std::vector<int8_t>> memo;
@@ -539,305 +781,417 @@ class SelectRunner {
     // so results are identical to the scan plan.
     int semi_rel = -1;
     int semi_index = -1;
-    const Expr* semi_probe = nullptr;  // inner-side join column expr
+    int semi_probe = -1;  // inner-side join column node
     // IN-list probe (opt-in, same gate as the semijoin): `col IN (values)`
     // on an indexed column turns the scan into one index probe per list
     // element. Candidates are sorted + deduplicated (full-scan order);
     // skipped rows fail the IN conjunct by definition.
     int in_index = -1;
-    std::vector<const Expr*> in_items;
+    std::vector<int> in_items;
   };
 
   /// Collects equality keys usable to probe relation `step` given the
   /// relations [0, step) are bound.
   void CollectEqKeys(int step, std::vector<EqKey>* keys) {
     for (const auto& c : conjuncts_) {
-      const Expr* e = c.expr;
-      if (e->kind != ExprKind::kBinary || e->op != BinOp::kEq) continue;
-      const Expr* l = e->children[0].get();
-      const Expr* r = e->children[1].get();
+      const Node& e = exprs_.node(c.node);
+      if (e.kind != ExprKind::kBinary || e.op != BinOp::kEq) continue;
       for (int side = 0; side < 2; ++side) {
-        const Expr* col = side == 0 ? l : r;
-        const Expr* other = side == 0 ? r : l;
-        if (col->kind != ExprKind::kColumnRef) continue;
-        auto rc = ResolveColumn(ctx_, *col);
-        if (!rc.ok() || rc->rel != step) continue;
+        const Node& col = exprs_.kid(e, side);
+        const int other = exprs_.kid_id(e, 1 - side);
+        if (col.kind != ExprKind::kColumnRef) continue;
+        if (col.error >= 0 || col.rel != step) continue;
         // The other side must be computable from bound relations only.
-        auto omask = RelMask(ctx_, *other);
+        auto omask = RelMask(other);
         if (!omask.ok()) continue;
         uint64_t bound = (step == 0) ? 0 : ((1ull << step) - 1);
         if ((*omask & ~bound) != 0) continue;
-        if (HasAggregate(*other)) continue;
-        keys->push_back({rc->col, other});
+        if (HasAggregate(*exprs_.node(other).expr)) continue;
+        keys->push_back({col.col, other});
         break;
       }
     }
   }
 
-  /// Enumerates candidate rows of relation `step` under the current
-  /// partially-bound tuple, following the precomputed step plan.
-  Status CandidateRows(int step, const Tuple& tuple,
-                       std::vector<RowId>* out) {
-    const Table* table = ctx_.relations[step].table;
+  /// Calls `visit(id)` for each candidate row of relation `step` under the
+  /// current partially-bound tuple, following the precomputed step plan,
+  /// and counts the candidates into rows_examined. A full scan walks the
+  /// table's slots directly. Returns false on error (visit's or a probe
+  /// key's).
+  template <typename Visit>
+  bool ForEachCandidate(int step, Visit&& visit) {
+    const Table* table = relations_[step].table;
     const StepPlan& plan = step_plans_[step];
+    std::vector<RowId>& cands = cand_buf_[step];
+    cands.clear();
+    bool listed = false;
     if (step == 0 && plan.semi_rel >= 0) {
-      if (SemijoinCandidates(out)) return Status::OK();
-      out->clear();  // pre-filter hit an eval error: fall back to the scan
+      listed = SemijoinCandidates(&cands);
+      // On an eval error, fall back to the scan so error surfacing stays
+      // on the original path.
+      if (!listed) cands.clear();
     }
-    if (plan.in_index >= 0) {
-      bool ok = true;
-      for (const Expr* item : plan.in_items) {
-        auto v = EvalExpr(ctx_, tuple, *item);
-        if (!v.ok()) {
-          ok = false;  // unbound placeholder: surface via the scan path
+    if (!listed && plan.in_index >= 0) {
+      listed = true;
+      for (int item : plan.in_items) {
+        if (!BuildKey(exprs_, &item, 1, tuple_.data(), &probe_buf_)) {
+          listed = false;  // unbound placeholder: surface via the scan path
           break;
         }
-        probe_buf_.clear();
-        probe_buf_.push_back(std::move(*v));
-        table->IndexLookup(plan.in_index, probe_buf_, out);
+        table->IndexLookup(plan.in_index, probe_buf_, &cands);
       }
-      if (ok) {
-        std::sort(out->begin(), out->end());
-        out->erase(std::unique(out->begin(), out->end()), out->end());
-        ctx_.rows_examined += out->size();
-        return Status::OK();
+      if (listed) {
+        std::sort(cands.begin(), cands.end());
+        cands.erase(std::unique(cands.begin(), cands.end()), cands.end());
+        rows_examined_ += cands.size();
+      } else {
+        cands.clear();
       }
-      out->clear();
     }
-    if (plan.index >= 0) {
-      // Build probe key in index column order.
-      probe_buf_.clear();
-      for (const Expr* src : plan.probe) {
-        auto v = EvalExpr(ctx_, tuple, *src);
-        if (!v.ok()) return v.status();
-        probe_buf_.push_back(std::move(*v));
+    if (!listed && plan.index >= 0) {
+      if (!BuildKey(exprs_, plan.probe.data(), plan.probe.size(),
+                    tuple_.data(), &probe_buf_)) {
+        return false;
       }
-      table->IndexLookup(plan.index, probe_buf_, out);
-      ctx_.rows_examined += out->size();
-      return Status::OK();
+      table->IndexLookup(plan.index, probe_buf_, &cands);
+      rows_examined_ += cands.size();
+      listed = true;
     }
-    // Full scan.
-    for (size_t i = 0; i < table->NumSlots(); ++i) {
-      RowId id = static_cast<RowId>(i);
-      if (table->IsLive(id)) out->push_back(id);
+    if (listed) {
+      for (RowId id : cands) {
+        if (!visit(id)) return false;
+      }
+      return true;
     }
-    ctx_.rows_examined += out->size();
-    return Status::OK();
+    rows_examined_ += table->num_rows();
+    const size_t slots = table->NumSlots();
+    // A leading leaf predicate cannot fail, so rows it rejects are skipped
+    // here without entering the join step.
+    const Node* first = nullptr;
+    if (!plan.conjuncts.empty()) {
+      first = &exprs_.node(conjuncts_[plan.conjuncts[0]].node);
+      if (!first->leaf_pred) first = nullptr;
+    }
+    for (size_t i = 0; i < slots; ++i) {
+      const RowId id = static_cast<RowId>(i);
+      if (!table->IsLive(id)) continue;
+      if (first != nullptr) {
+        tuple_[step] = id;
+        if (exprs_.Check(*first, tuple_.data()) == 0) continue;
+      }
+      if (!visit(id)) return false;
+    }
+    return true;
   }
 
   /// Evaluates conjunct `i` of `step` for the row bound at tuple[step],
-  /// through the per-RowId memo when the conjunct is single-relation.
-  Result<bool> EvalStepConjunct(int step, size_t i, const Tuple& tuple) {
+  /// through the per-RowId memo when the conjunct is memoized.
+  int EvalStepConjunct(int step, size_t i, const RowId* tuple) {
     StepPlan& plan = step_plans_[step];
-    const Conjunct& c = conjuncts_[plan.conjuncts[i]];
+    const Node& c = exprs_.node(conjuncts_[plan.conjuncts[i]].node);
     const int slot = plan.memo_slot[i];
-    if (slot < 0) {
-      auto v = EvalExpr(ctx_, tuple, *c.expr);
-      if (!v.ok()) return v.status();
-      return Truthy(*v);
-    }
+    if (slot < 0) return exprs_.Check(c, tuple);
     std::vector<int8_t>& memo = plan.memo[slot];
     const RowId id = tuple[step];
-    if (memo.empty()) {
-      memo.resize(ctx_.relations[step].table->NumSlots(), 0);
-    }
-    if (id < memo.size() && memo[id] != 0) return memo[id] == 1;
-    auto v = EvalExpr(ctx_, tuple, *c.expr);
-    if (!v.ok()) return v.status();
-    const bool pass = Truthy(*v);
-    if (id < memo.size()) memo[id] = pass ? 1 : 2;
+    if (memo.empty()) memo.resize(relations_[step].table->NumSlots(), 0);
+    if (id < memo.size() && memo[id] != 0) return memo[id] == 1 ? 1 : 0;
+    const int pass = exprs_.Check(c, tuple);
+    if (pass >= 0 && id < memo.size()) memo[id] = pass == 1 ? 1 : 2;
     return pass;
   }
 
   /// Applies all conjuncts whose highest referenced relation == step, in
-  /// original conjunct order (short-circuit and error semantics preserved).
-  Result<bool> StepPredicatesPass(int step, const Tuple& tuple) {
-    StepPlan& plan = step_plans_[step];
-    for (size_t i = 0; i < plan.conjuncts.size(); ++i) {
-      auto pass = EvalStepConjunct(step, i, tuple);
-      if (!pass.ok()) return pass.status();
-      if (!*pass) return false;
+  /// original conjunct order (short-circuit and error semantics
+  /// preserved): 1 pass, 0 fail, -1 error.
+  int StepPredicatesPass(int step, const RowId* tuple) {
+    const size_t n = step_plans_[step].conjuncts.size();
+    for (size_t i = 0; i < n; ++i) {
+      const int pass = EvalStepConjunct(step, i, tuple);
+      if (pass <= 0) return pass;
     }
-    return true;
+    return 1;
   }
 
   /// Runs the semijoin pre-filter for the leading relation: enumerates the
   /// inner relation, keeps rows passing its single-relation conjuncts, and
   /// probes the leading relation's index with the join column. Sorted,
   /// deduplicated RowIds == full-scan enumeration order. Returns false
-  /// (out untouched beyond clear) if any evaluation errors: the caller
-  /// falls back to the scan so error surfacing stays on the original path.
+  /// if any evaluation errors: the caller falls back to the scan so error
+  /// surfacing stays on the original path.
   bool SemijoinCandidates(std::vector<RowId>* out) {
-    StepPlan& plan = step_plans_[0];
-    StepPlan& rplan = step_plans_[plan.semi_rel];
-    const Table* rtable = ctx_.relations[plan.semi_rel].table;
-    const Table* table = ctx_.relations[0].table;
-    Tuple tmp(ctx_.relations.size(), 0);
+    const StepPlan& plan = step_plans_[0];
+    const int r = plan.semi_rel;
+    const StepPlan& rplan = step_plans_[r];
+    const Table* rtable = relations_[r].table;
+    const Table* table = relations_[0].table;
+    Tuple tmp(relations_.size(), 0);
     for (size_t i = 0; i < rtable->NumSlots(); ++i) {
       RowId id = static_cast<RowId>(i);
       if (!rtable->IsLive(id)) continue;
-      ++ctx_.rows_examined;
-      tmp[plan.semi_rel] = id;
+      ++rows_examined_;
+      tmp[r] = id;
       bool pass = true;
       for (size_t ci = 0; ci < rplan.conjuncts.size(); ++ci) {
         if (rplan.memo_slot[ci] < 0) continue;  // needs other relations
-        auto v = EvalStepConjunct(plan.semi_rel, ci, tmp);
-        if (!v.ok()) return false;
-        if (!*v) {
+        const int v = EvalStepConjunct(r, ci, tmp.data());
+        if (v < 0) return false;
+        if (v == 0) {
           pass = false;
           break;
         }
       }
       if (!pass) continue;
-      auto key = EvalExpr(ctx_, tmp, *plan.semi_probe);
-      if (!key.ok()) return false;
-      probe_buf_.clear();
-      probe_buf_.push_back(std::move(*key));
+      if (!BuildKey(exprs_, &plan.semi_probe, 1, tmp.data(), &probe_buf_)) {
+        return false;
+      }
       table->IndexLookup(plan.semi_index, probe_buf_, out);
     }
     std::sort(out->begin(), out->end());
     out->erase(std::unique(out->begin(), out->end()), out->end());
-    ctx_.rows_examined += out->size();
+    rows_examined_ += out->size();
     return true;
   }
 
-  /// Conjuncts that reference no relation at all (constant predicates).
-  Result<bool> ConstPredicatesPass() {
-    Tuple empty(ctx_.relations.size(), 0);
+  /// Runs the join, calling `emit(tuple)` on each fully-bound surviving
+  /// tuple (emit returns false on error). Returns false on error, with the
+  /// Status in exprs_.error().
+  template <typename Emit>
+  bool RunJoin(Emit&& emit) {
+    tuple_.assign(relations_.size(), 0);
+    cand_buf_.resize(relations_.size());
+    // Conjuncts that reference no relation at all (constant predicates).
     for (const auto& c : conjuncts_) {
       if (c.max_rel != -1) continue;
-      auto v = EvalExpr(ctx_, empty, *c.expr);
-      if (!v.ok()) return v.status();
-      if (!Truthy(*v)) return false;
+      const int pass = exprs_.Test(exprs_.node(c.node), tuple_.data());
+      if (pass <= 0) return pass == 0;
     }
-    return true;
+    return JoinStep(0, emit);
   }
 
-  /// Runs the join, invoking `emit` on each fully-bound surviving tuple.
-  Status RunJoin(const std::function<Status(const Tuple&)>& emit) {
-    auto cpass = ConstPredicatesPass();
-    if (!cpass.ok()) return cpass.status();
-    if (!*cpass) return Status::OK();
-
-    Tuple tuple(ctx_.relations.size(), 0);
-    cand_buf_.resize(ctx_.relations.size());
-    std::function<Status(int)> recurse = [&](int step) -> Status {
-      if (step == static_cast<int>(ctx_.relations.size())) {
-        return emit(tuple);
-      }
-      // Depth == step, so each recursion level owns its buffer; reuse
-      // across outer rows saves one allocation per probe.
-      std::vector<RowId>& candidates = cand_buf_[step];
-      candidates.clear();
-      APOLLO_RETURN_NOT_OK(CandidateRows(step, tuple, &candidates));
-      for (RowId id : candidates) {
-        tuple[step] = id;
-        auto pass = StepPredicatesPass(step, tuple);
-        if (!pass.ok()) return pass.status();
-        if (!*pass) continue;
-        APOLLO_RETURN_NOT_OK(recurse(step + 1));
-      }
-      return Status::OK();
-    };
-    return recurse(0);
+  template <typename Emit>
+  bool JoinStep(int step, Emit& emit) {
+    if (step == static_cast<int>(relations_.size())) {
+      return emit(tuple_.data());
+    }
+    return ForEachCandidate(step, [&](RowId id) {
+      tuple_[step] = id;
+      const int pass = StepPredicatesPass(step, tuple_.data());
+      if (pass <= 0) return pass == 0;
+      return JoinStep(step + 1, emit);
+    });
   }
 
-  /// Expands the select list into concrete output expressions + names.
+  /// Expands the select list into compiled output expressions + names.
   /// '*' expands to every column of every relation.
-  Status ExpandItems(std::vector<const Expr*>* exprs,
-                     std::vector<std::string>* names,
-                     std::vector<std::unique_ptr<Expr>>* owned) {
+  void ExpandItems(std::vector<int>* items, std::vector<std::string>* names) {
     for (const auto& item : sel_.items) {
       if (item.expr->kind == ExprKind::kStar) {
-        for (const auto& rel : ctx_.relations) {
+        for (const auto& rel : relations_) {
           if (!item.expr->table.empty() && item.expr->table != rel.name) {
             continue;
           }
           for (const auto& col : rel.table->schema().columns()) {
-            owned->push_back(Expr::MakeColumn(rel.name, col.name));
-            exprs->push_back(owned->back().get());
+            owned_.push_back(Expr::MakeColumn(rel.name, col.name));
+            items->push_back(exprs_.Add(*owned_.back()));
             names->push_back(col.name);
           }
         }
         continue;
       }
-      exprs->push_back(item.expr.get());
+      items->push_back(exprs_.Add(*item.expr));
       names->push_back(OutputName(item));
     }
-    return Status::OK();
+  }
+
+  /// Rows of `picks` put in ORDER BY order (ties keep emission order, so
+  /// the result equals a stable sort), sorted only as far as `limit`.
+  template <typename Less>
+  static void TopN(std::vector<uint32_t>* picks, size_t limit, Less less) {
+    auto cmp = [&](uint32_t a, uint32_t b) {
+      const int c = less(a, b);
+      return c != 0 ? c < 0 : a < b;
+    };
+    if (limit < picks->size()) {
+      std::partial_sort(picks->begin(), picks->begin() + limit, picks->end(),
+                        cmp);
+    } else {
+      std::sort(picks->begin(), picks->end(), cmp);
+    }
   }
 
   Result<ResultSetPtr> RunProjection() {
-    std::vector<const Expr*> exprs;
+    std::vector<int> items;
     std::vector<std::string> names;
-    std::vector<std::unique_ptr<Expr>> owned;
-    APOLLO_RETURN_NOT_OK(ExpandItems(&exprs, &names, &owned));
+    ExpandItems(&items, &names);
+    std::vector<int> order;
+    for (const auto& oi : sel_.order_by) order.push_back(exprs_.Add(*oi.expr));
 
-    struct OutRow {
-      Row values;
-      Row order_keys;
+    // When no select item can fail (resolved columns, literals, bound
+    // parameters) rows are kept as join tuples and only the rows LIMIT
+    // keeps are projected. Otherwise — or under DISTINCT, which compares
+    // projected rows — every row is projected as it is produced, so its
+    // errors surface exactly as before.
+    bool late = !sel_.distinct;
+    for (int id : items) {
+      if (!exprs_.node(id).leaf) late = false;
+    }
+    const size_t nr = relations_.size();
+    const size_t nk = order.size();
+    std::vector<Row> rows;            // projected rows (early projection)
+    std::vector<RowId> tuples;        // nr per row (late projection)
+    std::vector<const Value*> keys;   // nk borrowed order keys per row
+    std::vector<std::unique_ptr<Value>> computed_keys;
+    size_t n = 0;
+    Value scratch;
+    auto emit = [&](const RowId* tuple) {
+      if (late) {
+        tuples.insert(tuples.end(), tuple, tuple + nr);
+      } else {
+        Row out;
+        out.reserve(items.size());
+        for (int id : items) {
+          const Value* v = exprs_.Eval(exprs_.node(id), tuple, &scratch);
+          if (v == nullptr) return false;
+          out.push_back(*v);
+        }
+        rows.push_back(std::move(out));
+      }
+      for (int id : order) {
+        const Value* v = exprs_.Eval(exprs_.node(id), tuple, &scratch);
+        if (v == nullptr) return false;
+        if (v == &scratch) {
+          computed_keys.push_back(std::make_unique<Value>(std::move(scratch)));
+          v = computed_keys.back().get();
+        }
+        keys.push_back(v);
+      }
+      ++n;
+      return true;
     };
-    std::vector<OutRow> rows;
+    if (!RunJoin(emit)) return exprs_.error();
 
-    Status st = RunJoin([&](const Tuple& tuple) -> Status {
-      OutRow out;
-      out.values.reserve(exprs.size());
-      for (const Expr* e : exprs) {
-        auto v = EvalExpr(ctx_, tuple, *e);
-        if (!v.ok()) return v.status();
-        out.values.push_back(std::move(*v));
-      }
-      for (const auto& oi : sel_.order_by) {
-        auto v = EvalExpr(ctx_, tuple, *oi.expr);
-        if (!v.ok()) return v.status();
-        out.order_keys.push_back(std::move(*v));
-      }
-      rows.push_back(std::move(out));
-      return Status::OK();
-    });
-    APOLLO_RETURN_NOT_OK(st);
-
+    std::vector<uint32_t> picks;
     if (sel_.distinct) {
       std::unordered_set<uint64_t> seen;
-      std::vector<OutRow> unique;
-      for (auto& r : rows) {
+      for (size_t i = 0; i < n; ++i) {
         uint64_t h = 0x9e37;
-        for (const auto& v : r.values) h = util::HashCombine(h, v.Hash());
-        if (seen.insert(h).second) unique.push_back(std::move(r));
+        for (const auto& v : rows[i]) h = util::HashCombine(h, v.Hash());
+        if (seen.insert(h).second) picks.push_back(static_cast<uint32_t>(i));
       }
-      rows = std::move(unique);
+    } else {
+      picks.resize(n);
+      std::iota(picks.begin(), picks.end(), 0u);
     }
-    if (!sel_.order_by.empty()) {
-      std::stable_sort(rows.begin(), rows.end(),
-                       [&](const OutRow& a, const OutRow& b) {
-                         for (size_t i = 0; i < sel_.order_by.size(); ++i) {
-                           int c = a.order_keys[i].Compare(b.order_keys[i]);
-                           if (c != 0) {
-                             return sel_.order_by[i].desc ? c > 0 : c < 0;
-                           }
-                         }
-                         return false;
-                       });
+    const size_t limit =
+        sel_.limit >= 0 ? std::min(static_cast<size_t>(sel_.limit),
+                                   picks.size())
+                        : picks.size();
+    if (nk > 0) {
+      TopN(&picks, limit, [&](uint32_t a, uint32_t b) {
+        for (size_t i = 0; i < nk; ++i) {
+          int c = CompareValues(*keys[a * nk + i], *keys[b * nk + i]);
+          if (c != 0) return sel_.order_by[i].desc ? (c > 0 ? -1 : 1) : c;
+        }
+        return 0;
+      });
     }
     auto rs = std::make_shared<ResultSet>(names);
-    size_t limit = sel_.limit >= 0 ? static_cast<size_t>(sel_.limit)
-                                   : rows.size();
-    for (size_t i = 0; i < rows.size() && i < limit; ++i) {
-      rs->AddRow(std::move(rows[i].values));
+    rs->Reserve(limit);
+    for (size_t i = 0; i < limit; ++i) {
+      const uint32_t r = picks[i];
+      if (!late) {
+        rs->AddRow(std::move(rows[r]));
+        continue;
+      }
+      Row out;
+      out.reserve(items.size());
+      for (int id : items) {
+        out.push_back(*exprs_.Eval(exprs_.node(id), tuples.data() + r * nr,
+                                   &scratch));
+      }
+      rs->AddRow(std::move(out));
     }
-    rs->set_rows_examined(ctx_.rows_examined);
+    rs->set_rows_examined(rows_examined_);
     return ResultSetPtr(rs);
   }
 
-  /// Collects every distinct aggregate call node reachable from the select
-  /// list (aggregates cannot nest, so recursion stops at a FuncCall).
-  static void CollectAggNodes(const Expr& e,
-                              std::vector<const Expr*>* out) {
-    if (e.kind == ExprKind::kFuncCall) {
-      out->push_back(&e);
+  /// Collects every aggregate call node reachable from `id`, assigning
+  /// aggregate slots (aggregates cannot nest, so recursion stops at a
+  /// FuncCall).
+  void CollectAggNodes(int id, std::vector<int>* out) {
+    Node& n = exprs_.mutable_node(id);
+    if (n.kind == ExprKind::kFuncCall) {
+      n.agg = static_cast<int>(out->size());
+      out->push_back(id);
       return;
     }
-    for (const auto& c : e.children) CollectAggNodes(*c, out);
+    for (int i = 0; i < n.num_kids; ++i) {
+      CollectAggNodes(exprs_.kid_id(n, i), out);
+    }
+  }
+
+  /// Single-relation aggregate with no WHERE/GROUP BY whose aggregates are
+  /// all COUNT(*) or MIN/MAX over a column: accumulates straight from the
+  /// table (COUNT(*) from the live-row count, MIN/MAX in one tight pass
+  /// over live slots) instead of running the scan's per-row pipeline.
+  /// rows_examined still counts every live row, as the scan plan does.
+  /// Returns false (touching nothing) when the query does not qualify.
+  bool SingleTableAggregate(const std::vector<int>& aggs,
+                            std::vector<AggState>* states,
+                            std::vector<RowId>* reps, size_t* groups) {
+    if (relations_.size() != 1 || !conjuncts_.empty() ||
+        !sel_.group_by.empty()) {
+      return false;
+    }
+    for (int id : aggs) {
+      const Node& e = exprs_.node(id);
+      if (e.num_kids != 1) return false;
+      const Node& arg = exprs_.kid(e, 0);
+      const bool count_star = e.func == AggFunc::kCount && !e.distinct &&
+                              arg.kind == ExprKind::kStar;
+      const bool extreme =
+          (e.func == AggFunc::kMin || e.func == AggFunc::kMax) &&
+          arg.kind == ExprKind::kColumnRef && arg.error < 0;
+      if (!count_star && !extreme) return false;
+    }
+    const Table* table = relations_[0].table;
+    rows_examined_ += table->num_rows();
+    if (table->num_rows() == 0) return true;  // no group: synthetic row
+    const size_t slots = table->NumSlots();
+    RowId first = 0;
+    while (!table->IsLive(first)) ++first;
+    reps->push_back(first);
+    states->resize(aggs.size());
+    *groups = 1;
+    for (size_t a = 0; a < aggs.size(); ++a) {
+      const Node& e = exprs_.node(aggs[a]);
+      AggState& agg = (*states)[a];
+      if (e.func == AggFunc::kCount) {
+        agg.count = static_cast<int64_t>(table->num_rows());
+        agg.any = true;
+        continue;
+      }
+      const int col = exprs_.kid(e, 0).col;
+      const bool want_min = e.func == AggFunc::kMin;
+      const Value* best = nullptr;
+      for (size_t i = first; i < slots; ++i) {
+        const RowId id = static_cast<RowId>(i);
+        if (!table->IsLive(id)) continue;
+        const Value& v = table->At(id)[col];
+        if (v.is_null()) continue;
+        if (best == nullptr) {
+          best = &v;
+          continue;
+        }
+        const int c = CompareValues(v, *best);
+        if (want_min ? c < 0 : c > 0) best = &v;
+      }
+      if (best != nullptr) {
+        agg.extreme = *best;
+        agg.any = true;
+      }
+    }
+    return true;
   }
 
   Result<ResultSetPtr> RunAggregate() {
@@ -846,122 +1200,76 @@ class SelectRunner {
     // dependence of bare columns on the group key is assumed, as in
     // MySQL's traditional behaviour.
     std::vector<std::string> names;
-    for (const auto& item : sel_.items) names.push_back(OutputName(item));
-
-    std::vector<const Expr*> agg_nodes;
+    std::vector<int> items;
+    std::vector<bool> item_has_agg;
     for (const auto& item : sel_.items) {
-      CollectAggNodes(*item.expr, &agg_nodes);
+      names.push_back(OutputName(item));
+      items.push_back(exprs_.Add(*item.expr));
+      item_has_agg.push_back(HasAggregate(*item.expr));
     }
+    std::vector<int> aggs;
+    for (int id : items) CollectAggNodes(id, &aggs);
+    std::vector<int> group_by;
+    for (const auto& g : sel_.group_by) group_by.push_back(exprs_.Add(*g));
 
-    struct Group {
-      Row key;                     // group_by values
-      Tuple rep;                   // representative input tuple
-      std::vector<AggState> aggs;  // one per aggregate node
-    };
-    std::unordered_map<uint64_t, Group> groups;
-    std::vector<uint64_t> group_order;
-
-    Status st = RunJoin([&](const Tuple& tuple) -> Status {
-      Row key;
-      uint64_t h = 0x51ab;
-      for (const auto& g : sel_.group_by) {
-        auto v = EvalExpr(ctx_, tuple, *g);
-        if (!v.ok()) return v.status();
-        h = util::HashCombine(h, v->Hash());
-        key.push_back(std::move(*v));
-      }
-      auto [it, inserted] = groups.try_emplace(h);
-      Group& grp = it->second;
-      if (inserted) {
-        grp.key = std::move(key);
-        grp.rep = tuple;
-        grp.aggs.resize(agg_nodes.size());
-        group_order.push_back(h);
-      }
-      for (size_t i = 0; i < agg_nodes.size(); ++i) {
-        const Expr& e = *agg_nodes[i];
-        AggState& agg = grp.aggs[i];
-        const Expr& arg = *e.children[0];
-        Value v;
-        if (arg.kind == ExprKind::kStar) {
-          v = Value::Int(1);
-        } else {
-          auto ev = EvalExpr(ctx_, tuple, arg);
-          if (!ev.ok()) return ev.status();
-          v = std::move(*ev);
-        }
-        if (v.is_null()) continue;  // SQL aggregates skip NULLs
-        if (e.distinct && !agg.distinct.insert(v.Hash()).second) continue;
-        ++agg.count;
-        if (v.is_numeric()) {
-          if (v.is_int() && agg.sum_is_int) {
-            agg.isum += v.AsInt();
-          } else {
-            if (agg.sum_is_int) {
-              agg.sum = static_cast<double>(agg.isum);
-              agg.sum_is_int = false;
-            }
-            agg.sum += v.ToDouble();
+    // Groups in creation order: aggregate states (na per group) and a
+    // representative input tuple (nr per group). Without GROUP BY all rows
+    // fold into one group, no hashing; with it, groups are keyed by the
+    // hash of the group-by values, read in place.
+    const size_t na = aggs.size();
+    const size_t nr = relations_.size();
+    std::vector<AggState> states;
+    std::vector<RowId> reps;
+    size_t groups = 0;
+    if (!SingleTableAggregate(aggs, &states, &reps, &groups)) {
+      std::unordered_map<uint64_t, uint32_t> group_of;
+      Value scratch;
+      auto emit = [&](const RowId* tuple) {
+        size_t g = 0;
+        bool create = groups == 0;
+        if (!group_by.empty()) {
+          uint64_t h = 0x51ab;
+          for (int id : group_by) {
+            const Value* v = exprs_.Eval(exprs_.node(id), tuple, &scratch);
+            if (v == nullptr) return false;
+            h = util::HashCombine(h, v->Hash());
           }
+          auto [it, inserted] =
+              group_of.try_emplace(h, static_cast<uint32_t>(groups));
+          create = inserted;
+          g = it->second;
         }
-        if (!agg.any || v.Compare(agg.min) < 0) agg.min = v;
-        if (!agg.any || v.Compare(agg.max) > 0) agg.max = v;
-        agg.any = true;
-      }
-      return Status::OK();
-    });
-    APOLLO_RETURN_NOT_OK(st);
+        if (create) {
+          reps.insert(reps.end(), tuple, tuple + nr);
+          states.resize(states.size() + na);
+          ++groups;
+        }
+        AggState* st = states.data() + g * na;
+        for (size_t a = 0; a < na; ++a) {
+          const Node& e = exprs_.node(aggs[a]);
+          const Node& arg = exprs_.kid(e, 0);
+          const Value* v = &kOne;
+          if (arg.kind != ExprKind::kStar) {
+            v = exprs_.Eval(arg, tuple, &scratch);
+            if (v == nullptr) return false;
+          }
+          Accumulate(e, *v, &st[a]);
+        }
+        return true;
+      };
+      if (!RunJoin(emit)) return exprs_.error();
+    }
 
     // With no GROUP BY and no input rows, aggregates still yield one row
     // (over an empty representative tuple; bare column refs yield NULL
     // only through aggregate args, which do not run in this case).
     bool synthetic_empty_group = false;
-    if (sel_.group_by.empty() && groups.empty()) {
-      Group g;
-      g.rep.assign(ctx_.relations.size(), 0);
-      g.aggs.resize(agg_nodes.size());
-      uint64_t h = 0x51ab;
-      groups.emplace(h, std::move(g));
-      group_order.push_back(h);
+    if (sel_.group_by.empty() && groups == 0) {
+      reps.assign(nr, 0);
+      states.assign(na, AggState{});
+      groups = 1;
       synthetic_empty_group = true;
     }
-
-    auto finalize_agg = [&](const AggState& agg,
-                            const Expr& e) -> Result<Value> {
-      const std::string& f = e.func;
-      if (f == "COUNT") return Value::Int(agg.count);
-      if (!agg.any) return Value::Null();
-      if (f == "MIN") return agg.min;
-      if (f == "MAX") return agg.max;
-      if (f == "SUM") {
-        return agg.sum_is_int ? Value::Int(agg.isum)
-                              : Value::Double(agg.sum);
-      }
-      if (f == "AVG") {
-        double total =
-            agg.sum_is_int ? static_cast<double>(agg.isum) : agg.sum;
-        return Value::Double(total / static_cast<double>(agg.count));
-      }
-      return Status::Unimplemented("unknown aggregate " + f);
-    };
-
-    auto finalize = [&](const Group& grp, size_t i) -> Result<Value> {
-      const Expr& e = *sel_.items[i].expr;
-      std::unordered_map<const Expr*, Value> agg_values;
-      for (size_t a = 0; a < agg_nodes.size(); ++a) {
-        auto v = finalize_agg(grp.aggs[a], *agg_nodes[a]);
-        if (!v.ok()) return v.status();
-        agg_values.emplace(agg_nodes[a], std::move(*v));
-      }
-      if (!HasAggregate(e) && synthetic_empty_group) {
-        return Value::Null();  // no rows: bare expressions have no value
-      }
-      ctx_.agg_values = &agg_values;
-      auto out = EvalExpr(ctx_, grp.rep, e);
-      ctx_.agg_values = nullptr;
-      if (!out.ok()) return out.status();
-      return std::move(*out);
-    };
 
     // Map ORDER BY expressions onto output columns (by alias, by column
     // name, or by identical printed text).
@@ -995,107 +1303,147 @@ class SelectRunner {
       order_cols.push_back(found);
     }
 
-    struct OutRow {
-      Row values;
-    };
-    std::vector<OutRow> rows;
-    rows.reserve(groups.size());
-    for (uint64_t h : group_order) {
-      const Group& grp = groups[h];
-      OutRow out;
-      for (size_t i = 0; i < sel_.items.size(); ++i) {
-        auto v = finalize(grp, i);
-        if (!v.ok()) return v.status();
-        out.values.push_back(std::move(*v));
+    const size_t limit =
+        sel_.limit >= 0 ? std::min(static_cast<size_t>(sel_.limit), groups)
+                        : groups;
+    // Under ORDER BY ... LIMIT, when every item outside the ORDER BY
+    // columns cannot fail (aggregates, resolved columns, literals), only
+    // the ORDER BY columns are finalized for every group; the other items
+    // are finalized for the LIMIT survivors alone.
+    std::vector<bool> sort_col(items.size(), false);
+    for (int c : order_cols) sort_col[c] = true;
+    bool lazy = !order_cols.empty() && limit < groups;
+    for (size_t i = 0; i < items.size() && lazy; ++i) {
+      const Node& n = exprs_.node(items[i]);
+      if (!sort_col[i] && !n.leaf &&
+          !(n.kind == ExprKind::kFuncCall && n.agg >= 0)) {
+        lazy = false;
       }
-      rows.push_back(std::move(out));
     }
+
+    std::vector<Value> agg_values(na);
+    std::vector<Row> rows(groups, Row(items.size()));
+    Value scratch;
+    auto finalize = [&](size_t g, bool all) -> Status {
+      for (size_t a = 0; a < na; ++a) {
+        auto v = FinalizeAgg(exprs_.node(aggs[a]), states[g * na + a]);
+        if (!v.ok()) return v.status();
+        agg_values[a] = std::move(*v);
+      }
+      for (size_t i = 0; i < items.size(); ++i) {
+        if (!all && !sort_col[i]) continue;
+        if (!item_has_agg[i] && synthetic_empty_group) {
+          // No rows: bare expressions have no value.
+          rows[g][i] = Value::Null();
+          continue;
+        }
+        exprs_.set_agg_values(agg_values.data());
+        const Value* v =
+            exprs_.Eval(exprs_.node(items[i]), reps.data() + g * nr, &scratch);
+        exprs_.set_agg_values(nullptr);
+        if (v == nullptr) return exprs_.error();
+        rows[g][i] = *v;
+      }
+      return Status::OK();
+    };
+    for (size_t g = 0; g < groups; ++g) {
+      APOLLO_RETURN_NOT_OK(finalize(g, !lazy));
+    }
+
+    std::vector<uint32_t> picks(groups);
+    std::iota(picks.begin(), picks.end(), 0u);
     if (!order_cols.empty()) {
-      std::stable_sort(rows.begin(), rows.end(),
-                       [&](const OutRow& a, const OutRow& b) {
-                         for (size_t i = 0; i < order_cols.size(); ++i) {
-                           int c = a.values[order_cols[i]].Compare(
-                               b.values[order_cols[i]]);
-                           if (c != 0) {
-                             return sel_.order_by[i].desc ? c > 0 : c < 0;
-                           }
-                         }
-                         return false;
-                       });
+      TopN(&picks, limit, [&](uint32_t a, uint32_t b) {
+        for (size_t i = 0; i < order_cols.size(); ++i) {
+          int c = CompareValues(rows[a][order_cols[i]], rows[b][order_cols[i]]);
+          if (c != 0) return sel_.order_by[i].desc ? (c > 0 ? -1 : 1) : c;
+        }
+        return 0;
+      });
     }
     auto rs = std::make_shared<ResultSet>(names);
-    size_t limit = sel_.limit >= 0 ? static_cast<size_t>(sel_.limit)
-                                   : rows.size();
-    for (size_t i = 0; i < rows.size() && i < limit; ++i) {
-      rs->AddRow(std::move(rows[i].values));
+    rs->Reserve(limit);
+    for (size_t i = 0; i < limit; ++i) {
+      if (lazy) APOLLO_RETURN_NOT_OK(finalize(picks[i], true));
+      rs->AddRow(std::move(rows[picks[i]]));
     }
-    rs->set_rows_examined(ctx_.rows_examined);
+    rs->set_rows_examined(rows_examined_);
     return ResultSetPtr(rs);
   }
 
   Catalog* catalog_;
   const sql::SelectStmt& sel_;
-  ExecContext ctx_;
+  std::vector<Relation> relations_;
+  ExprTable exprs_;
   const bool semijoin_prefilter_;
+  std::vector<std::unique_ptr<Expr>> owned_;  // '*' expansions
   std::vector<Conjunct> conjuncts_;
   std::vector<StepPlan> step_plans_;
+  Tuple tuple_;                        // the join's current tuple
   std::vector<Value> probe_buf_;       // reused index-probe key buffer
   std::vector<std::vector<RowId>> cand_buf_;  // per-step candidate buffers
+  uint64_t rows_examined_ = 0;
 };
 
 /// Shared row-matching for UPDATE / DELETE: single relation, index-aware.
+/// `relations` receives the target relation, so `exprs` (built over it)
+/// can compile the statement's other expressions afterwards.
 Result<std::vector<RowId>> MatchRows(Catalog* catalog,
                                      const std::string& table_name,
                                      const Expr* where,
-                                     ExecContext& ctx) {
+                                     std::vector<Relation>* relations,
+                                     ExprTable& exprs,
+                                     const std::vector<Value>* params,
+                                     uint64_t* rows_examined) {
   Table* table = catalog->GetTable(table_name);
   if (table == nullptr) {
     return Status::NotFound("unknown table " + table_name);
   }
-  ctx.relations.push_back({table->schema().table_name(), table});
+  relations->push_back({table->schema().table_name(), table});
 
-  std::vector<const Expr*> conjuncts;
-  FlattenConjuncts(where, &conjuncts);
+  std::vector<const Expr*> conjunct_exprs;
+  FlattenConjuncts(where, &conjunct_exprs);
+  std::vector<int> conjuncts;
+  for (const Expr* c : conjunct_exprs) conjuncts.push_back(exprs.Add(*c));
 
   // Equality keys on literals.
   std::vector<EqKey> keys;
-  for (const Expr* c : conjuncts) {
-    if (c->kind != ExprKind::kBinary || c->op != BinOp::kEq) continue;
+  for (int id : conjuncts) {
+    const Node& c = exprs.node(id);
+    if (c.kind != ExprKind::kBinary || c.op != BinOp::kEq) continue;
     for (int side = 0; side < 2; ++side) {
-      const Expr* col = c->children[side].get();
-      const Expr* other = c->children[1 - side].get();
-      if (col->kind != ExprKind::kColumnRef) continue;
+      const Node& col = exprs.kid(c, side);
+      const Node& other = exprs.kid(c, 1 - side);
+      if (col.kind != ExprKind::kColumnRef) continue;
       bool bindable =
-          other->kind == ExprKind::kLiteral ||
-          (other->kind == ExprKind::kPlaceholder && ctx.params != nullptr);
-      if (!bindable) continue;
-      auto rc = ResolveColumn(ctx, *col);
-      if (!rc.ok()) continue;
-      keys.push_back({rc->col, other});
+          other.kind == ExprKind::kLiteral ||
+          (other.kind == ExprKind::kPlaceholder && params != nullptr);
+      if (!bindable || col.error >= 0) continue;
+      keys.push_back({col.col, exprs.kid_id(c, 1 - side)});
       break;
     }
   }
 
   std::vector<RowId> candidates;
-  Tuple tuple(1, 0);
+  RowId tuple[1] = {0};
   bool used_index = false;
   if (!keys.empty()) {
     std::vector<int> eq_cols;
     for (const auto& k : keys) eq_cols.push_back(k.col);
     int idx = table->FindUsableIndex(eq_cols);
     if (idx >= 0) {
-      std::vector<Value> probe;
+      std::vector<int> srcs;
       for (int pos : table->IndexColumns(idx)) {
-        const Expr* src = nullptr;
         for (const auto& k : keys) {
           if (k.col == pos) {
-            src = k.value_expr;
+            srcs.push_back(k.value_node);
             break;
           }
         }
-        auto v = EvalExpr(ctx, tuple, *src);
-        if (!v.ok()) return v.status();
-        probe.push_back(std::move(*v));
+      }
+      std::vector<Value> probe;
+      if (!BuildKey(exprs, srcs.data(), srcs.size(), tuple, &probe)) {
+        return exprs.error();
       }
       table->IndexLookup(idx, probe, &candidates);
       used_index = true;
@@ -1107,16 +1455,16 @@ Result<std::vector<RowId>> MatchRows(Catalog* catalog,
       if (table->IsLive(id)) candidates.push_back(id);
     }
   }
-  ctx.rows_examined += candidates.size();
+  *rows_examined += candidates.size();
 
   std::vector<RowId> matched;
   for (RowId id : candidates) {
     tuple[0] = id;
     bool pass = true;
-    for (const Expr* c : conjuncts) {
-      auto v = EvalExpr(ctx, tuple, *c);
-      if (!v.ok()) return v.status();
-      if (!Truthy(*v)) {
+    for (int c : conjuncts) {
+      const int t = exprs.Check(exprs.node(c), tuple);
+      if (t < 0) return exprs.error();
+      if (t == 0) {
         pass = false;
         break;
       }
@@ -1150,9 +1498,9 @@ Result<ResultSetPtr> RunInsert(Catalog* catalog, const sql::InsertStmt& ins,
     }
   }
 
-  ExecContext ctx;
-  ctx.params = params;
-  Tuple empty;
+  const std::vector<Relation> no_relations;
+  ExprTable exprs(&no_relations, params);
+  Value scratch;
   uint64_t affected = 0;
   for (const auto& row_exprs : ins.rows) {
     if (row_exprs.size() != positions.size()) {
@@ -1160,9 +1508,10 @@ Result<ResultSetPtr> RunInsert(Catalog* catalog, const sql::InsertStmt& ins,
     }
     Row row(schema.num_columns(), Value::Null());
     for (size_t i = 0; i < row_exprs.size(); ++i) {
-      auto v = EvalExpr(ctx, empty, *row_exprs[i]);
-      if (!v.ok()) return v.status();
-      row[positions[i]] = std::move(*v);
+      const Value* v =
+          exprs.Eval(exprs.node(exprs.Add(*row_exprs[i])), nullptr, &scratch);
+      if (v == nullptr) return exprs.error();
+      row[positions[i]] = *v;
     }
     APOLLO_RETURN_NOT_OK(table->Insert(std::move(row)));
     ++affected;
@@ -1175,48 +1524,51 @@ Result<ResultSetPtr> RunInsert(Catalog* catalog, const sql::InsertStmt& ins,
 
 Result<ResultSetPtr> RunUpdate(Catalog* catalog, const sql::UpdateStmt& upd,
                                const std::vector<Value>* params) {
-  ExecContext ctx;
-  ctx.params = params;
-  auto matched = MatchRows(catalog, upd.table, upd.where.get(), ctx);
+  std::vector<Relation> relations;
+  ExprTable exprs(&relations, params);
+  uint64_t rows_examined = 0;
+  auto matched = MatchRows(catalog, upd.table, upd.where.get(), &relations,
+                           exprs, params, &rows_examined);
   if (!matched.ok()) return matched.status();
   Table* table = catalog->GetTable(upd.table);
 
   std::vector<int> col_indexes;
-  for (const auto& [col, _] : upd.assignments) {
+  std::vector<int> value_nodes;
+  for (const auto& [col, expr] : upd.assignments) {
     int pos = table->schema().ColumnIndex(col);
     if (pos < 0) {
       return Status::NotFound("unknown column " + col + " in UPDATE");
     }
     col_indexes.push_back(pos);
+    value_nodes.push_back(exprs.Add(*expr));
   }
-  Tuple tuple(1, 0);
+  std::vector<Value> new_values;
   for (RowId id : *matched) {
-    tuple[0] = id;
-    std::vector<Value> new_values;
-    for (const auto& [_, expr] : upd.assignments) {
-      auto v = EvalExpr(ctx, tuple, *expr);
-      if (!v.ok()) return v.status();
-      new_values.push_back(std::move(*v));
+    if (!BuildKey(exprs, value_nodes.data(), value_nodes.size(), &id,
+                  &new_values)) {
+      return exprs.error();
     }
     table->UpdateRow(id, col_indexes, new_values);
   }
   auto rs = std::make_shared<ResultSet>();
   rs->set_affected_rows(matched->size());
-  rs->set_rows_examined(ctx.rows_examined);
+  rs->set_rows_examined(rows_examined);
   return ResultSetPtr(rs);
 }
 
 Result<ResultSetPtr> RunDelete(Catalog* catalog, const sql::DeleteStmt& del,
                                const std::vector<Value>* params) {
-  ExecContext ctx;
-  ctx.params = params;
-  auto matched = MatchRows(catalog, del.table, del.where.get(), ctx);
+  std::vector<Relation> relations;
+  ExprTable exprs(&relations, params);
+  uint64_t rows_examined = 0;
+  auto matched = MatchRows(catalog, del.table, del.where.get(), &relations,
+                           exprs, params, &rows_examined);
   if (!matched.ok()) return matched.status();
   Table* table = catalog->GetTable(del.table);
   for (RowId id : *matched) table->DeleteRow(id);
   auto rs = std::make_shared<ResultSet>();
   rs->set_affected_rows(matched->size());
-  rs->set_rows_examined(ctx.rows_examined);
+  rs->set_rows_examined(rows_examined);
   return ResultSetPtr(rs);
 }
 

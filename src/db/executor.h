@@ -6,6 +6,45 @@
 // scans. Joins are processed in FROM order with index-nested-loop where an
 // index applies. Aggregation supports COUNT/COUNT DISTINCT/SUM/MIN/MAX/AVG
 // with GROUP BY, plus DISTINCT, ORDER BY and LIMIT.
+//
+// Invariant: the fast paths below change physical work only. Every
+// statement enumerates the same candidate rows in the same order through
+// the same index as the reference plan, returns the same rows in the same
+// order with the same errors, and reports the reference plan's
+// `rows_examined` — the count the simulator's cost model
+// (rows_examined x exec_per_row) consumes — so the figures do not move.
+// tests/executor_parity_test.cc pins this against digests of the
+// reference executor.
+//
+// Fast paths and when they apply:
+//  - Compiled expressions (always): each statement's expressions are
+//    compiled once — column references resolved to (relation, column)
+//    slots, literals and bound placeholders pointed at. Evaluation borrows
+//    leaf values in place; a comparison or LIKE over leaves is tested
+//    inline, so no value is copied to filter, compare, hash a group key or
+//    feed an aggregate. Resolution errors are deferred to evaluation,
+//    where the reference evaluator raised them.
+//  - Compiled LIKE (pattern is a string literal or bound placeholder):
+//    util::LikePattern's exact / prefix / suffix / substring match, with
+//    util::LikeMatch as the fallback for other shapes.
+//  - Join loop (always): a templated loop over the step plans, full scans
+//    walking the table's slots in place and testing a leading leaf
+//    predicate there, before entering the join step.
+//  - Top-N (always): ORDER BY keys are borrowed and rows partially sorted
+//    up to LIMIT with an emission-order tie-break, which equals a stable
+//    sort. When there is no DISTINCT and every select item is a resolved
+//    column, literal or bound placeholder, rows are kept as join tuples
+//    and only the LIMIT survivors are projected; otherwise every row is
+//    projected as produced, so its errors surface.
+//  - Aggregates (always): one group without hashing when there is no
+//    GROUP BY; extremes tracked only for MIN/MAX; finalized values in one
+//    reused array. Under ORDER BY ... LIMIT, when every other select item
+//    is an aggregate, resolved column or literal, only the ORDER BY
+//    columns are finalized for every group.
+//  - Single-table aggregate kernel (one relation, no WHERE/JOIN/GROUP BY,
+//    every aggregate COUNT(*) or MIN/MAX of a resolvable column):
+//    COUNT(*) is the live-row count, MIN/MAX one pass over live slots;
+//    rows_examined still adds the live-row count, as the scan does.
 #pragma once
 
 #include <vector>

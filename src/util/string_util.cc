@@ -85,10 +85,58 @@ bool LikeMatchImpl(std::string_view v, std::string_view p) {
   }
   return vi == v.size();
 }
+
+/// True if `v` starting at `pos` spells the folded text `t`.
+bool FoldedAt(std::string_view v, size_t pos, std::string_view t) {
+  for (size_t i = 0; i < t.size(); ++i) {
+    if (FoldAscii(v[pos + i]) != t[i]) return false;
+  }
+  return true;
+}
 }  // namespace
 
 bool LikeMatch(std::string_view value, std::string_view pattern) {
   return LikeMatchImpl(value, pattern);
+}
+
+LikePattern::LikePattern(std::string_view pattern) {
+  const bool lead = !pattern.empty() && pattern.front() == '%';
+  const bool trail = !pattern.empty() && pattern.back() == '%';
+  const size_t b = pattern.find_first_not_of('%');
+  std::string_view core =
+      b == std::string_view::npos
+          ? std::string_view()
+          : pattern.substr(b, pattern.find_last_not_of('%') + 1 - b);
+  if (core.find('%') != std::string_view::npos ||
+      pattern.find('_') != std::string_view::npos) {
+    kind_ = Kind::kGeneral;
+    text_ = std::string(pattern);
+    return;
+  }
+  kind_ = lead ? (trail ? Kind::kContains : Kind::kSuffix)
+               : (trail ? Kind::kPrefix : Kind::kExact);
+  text_.reserve(core.size());
+  for (char c : core) text_.push_back(FoldAscii(c));
+}
+
+bool LikePattern::Matches(std::string_view value) const {
+  const size_t n = text_.size();
+  switch (kind_) {
+    case Kind::kExact:
+      return value.size() == n && FoldedAt(value, 0, text_);
+    case Kind::kPrefix:
+      return value.size() >= n && FoldedAt(value, 0, text_);
+    case Kind::kSuffix:
+      return value.size() >= n && FoldedAt(value, value.size() - n, text_);
+    case Kind::kContains:
+      for (size_t k = 0; k + n <= value.size(); ++k) {
+        if (FoldedAt(value, k, text_)) return true;
+      }
+      return false;
+    case Kind::kGeneral:
+      break;
+  }
+  return LikeMatchImpl(value, text_);
 }
 
 }  // namespace apollo::util

@@ -29,4 +29,23 @@ bool StartsWith(std::string_view s, std::string_view prefix);
 /// Case-insensitive to mirror MySQL's default collation behaviour.
 bool LikeMatch(std::string_view value, std::string_view pattern);
 
+/// A LIKE pattern compiled once for matching many values, with LikeMatch's
+/// semantics and ASCII case folding. Patterns without '_' whose literal
+/// text is one run ("abc", "abc%", "%abc", "%abc%", "%", "") match by
+/// exact / prefix / suffix / substring comparison; any other pattern falls
+/// back to LikeMatch.
+class LikePattern {
+ public:
+  explicit LikePattern(std::string_view pattern);
+
+  bool Matches(std::string_view value) const;
+
+ private:
+  enum class Kind { kExact, kPrefix, kSuffix, kContains, kGeneral };
+
+  Kind kind_ = Kind::kGeneral;
+  // Case-folded literal text; the raw pattern for kGeneral.
+  std::string text_;
+};
+
 }  // namespace apollo::util

@@ -183,5 +183,49 @@ TEST(StringUtilTest, LikeMatch) {
   EXPECT_FALSE(LikeMatch("abc", "abcd"));
 }
 
+TEST(StringUtilTest, LikePatternFastPaths) {
+  EXPECT_TRUE(LikePattern("TITLE12%").Matches("title123"));   // prefix
+  EXPECT_FALSE(LikePattern("TITLE12%").Matches("TITLE1"));
+  EXPECT_TRUE(LikePattern("%ln7").Matches("LN7"));            // suffix
+  EXPECT_FALSE(LikePattern("%ln7").Matches("LN70"));
+  EXPECT_TRUE(LikePattern("%Ll%").Matches("HELLO"));          // contains
+  EXPECT_FALSE(LikePattern("%lx%").Matches("HELLO"));
+  EXPECT_TRUE(LikePattern("HeLLo").Matches("hello"));         // exact
+  EXPECT_FALSE(LikePattern("hell").Matches("hello"));
+  EXPECT_TRUE(LikePattern("h_llo").Matches("HELLO"));         // '_'
+  EXPECT_TRUE(LikePattern("%%").Matches(""));
+  EXPECT_TRUE(LikePattern("%").Matches("anything"));
+  EXPECT_TRUE(LikePattern("").Matches(""));
+  EXPECT_FALSE(LikePattern("").Matches("a"));
+}
+
+TEST(StringUtilTest, LikePatternAgreesWithLikeMatch) {
+  // Every compiled pattern must agree with the reference matcher on a
+  // randomized corpus, fast paths and fallback alike.
+  Rng rng(2024);
+  auto random_string = [&](const std::string& alphabet, int max_len) {
+    std::string s;
+    const int64_t len = rng.UniformInt(0, max_len);
+    for (int64_t i = 0; i < len; ++i) {
+      s.push_back(alphabet[rng.UniformInt(
+          0, static_cast<int64_t>(alphabet.size()) - 1)]);
+    }
+    return s;
+  };
+  std::vector<std::string> patterns = {
+      "ab%", "%ab", "%ab%", "ab", "a_c", "%%", "%", "", "AbC%", "%B_%",
+      "_", "%_", "a%b", "%a%b%", "ABC", "%%ab%%", "_%_"};
+  for (int i = 0; i < 300; ++i) patterns.push_back(random_string("abAB%_", 5));
+  std::vector<std::string> values;
+  for (int i = 0; i < 400; ++i) values.push_back(random_string("abcABC_%", 6));
+  for (const auto& p : patterns) {
+    const LikePattern compiled(p);
+    for (const auto& v : values) {
+      ASSERT_EQ(compiled.Matches(v), LikeMatch(v, p))
+          << "value '" << v << "' pattern '" << p << "'";
+    }
+  }
+}
+
 }  // namespace
 }  // namespace apollo::util
