@@ -21,9 +21,14 @@
 //   4. Recovery: after the spike the controller returns to (near) normal
 //      and the final 1x stage's hit rate lands within 5 points of the
 //      first 1x stage's.
+//   5. The trace ring never wrapped (trace_dropped == 0): the level
+//      trajectory above is rebuilt from kBrownoutLevel events that share
+//      the ring with the prediction planner's lifecycle events, so a
+//      wrapped ring could silently lose transitions.
 //
 // Results (per-stage offered/completed/errors/rejected/deadline_missed/
-// p50/p99/hit_rate/max_level, the transition list, and the pass booleans)
+// p50/p99/hit_rate/max_level, the transition list, trace_dropped and the
+// pass booleans)
 // go to stdout and BENCH_overload.json.
 #include <algorithm>
 #include <atomic>
@@ -372,8 +377,9 @@ int main(int argc, char** argv) {
       final_level <= static_cast<int>(rt::BrownoutLevel::kShedLowUtility) &&
       stats[kNumStages - 1].hit_rate >= stats[0].hit_rate - kHitRateBand;
 
-  const bool pass =
-      pass_errors && pass_p99 && pass_transitions && pass_recovery;
+  const uint64_t trace_dropped = obs.trace.dropped();
+  const bool pass = pass_errors && pass_p99 && pass_transitions &&
+                    pass_recovery && trace_dropped == 0;
 
   // ---- Report ----
   std::string json = "{\"bench\":\"overload_recovery\",\"stages\":[";
@@ -406,19 +412,26 @@ int main(int argc, char** argv) {
                   transitions[i].from, transitions[i].to);
     json += t;
   }
-  char tail[256];
+  char tail[320];
   std::snprintf(tail, sizeof(tail),
-                "],\"pass_errors\":%s,\"pass_p99\":%s,"
+                "],\"trace_recorded\":%llu,\"trace_dropped\":%llu,"
+                "\"pass_errors\":%s,\"pass_p99\":%s,"
                 "\"pass_transitions\":%s,\"pass_recovery\":%s,"
                 "\"pass\":%s}\n",
+                static_cast<unsigned long long>(obs.trace.total_recorded()),
+                static_cast<unsigned long long>(trace_dropped),
                 pass_errors ? "true" : "false", pass_p99 ? "true" : "false",
                 pass_transitions ? "true" : "false",
                 pass_recovery ? "true" : "false", pass ? "true" : "false");
   json += tail;
-  std::printf("transitions=%zu pass_errors=%d pass_p99=%d "
-              "pass_transitions=%d pass_recovery=%d pass=%d\n",
-              transitions.size(), pass_errors ? 1 : 0, pass_p99 ? 1 : 0,
-              pass_transitions ? 1 : 0, pass_recovery ? 1 : 0, pass ? 1 : 0);
+  std::printf("transitions=%zu trace_recorded=%llu trace_dropped=%llu "
+              "pass_errors=%d pass_p99=%d pass_transitions=%d "
+              "pass_recovery=%d pass=%d\n",
+              transitions.size(),
+              static_cast<unsigned long long>(obs.trace.total_recorded()),
+              static_cast<unsigned long long>(trace_dropped),
+              pass_errors ? 1 : 0, pass_p99 ? 1 : 0, pass_transitions ? 1 : 0,
+              pass_recovery ? 1 : 0, pass ? 1 : 0);
 
   std::ofstream out(json_path);
   out << json;

@@ -5,14 +5,12 @@
 
 namespace apollo::core {
 
-namespace {
 double WallMicrosSince(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now() - t0)
              .count() /
          1000.0;
 }
-}  // namespace
 
 CachingMiddleware::CachingMiddleware(sim::EventLoop* loop,
                                      net::RemoteDatabase* remote,

@@ -9,6 +9,7 @@
 // OnQueryCompleted / OnPredictionCompleted hooks.
 #pragma once
 
+#include <chrono>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -35,6 +36,9 @@ struct RestoreStats;
 
 namespace apollo::core {
 
+/// Real (wall) microseconds since `t0`, for the `*_wall_us` instruments.
+double WallMicrosSince(std::chrono::steady_clock::time_point t0);
+
 /// Per-client session state (paper Section 3.2). The stream/graphs members
 /// are populated only by learning subclasses.
 struct ClientSession {
@@ -55,8 +59,6 @@ struct ClientSession {
   /// Latest result set per read-only template (pipeline inputs, Section
   /// 2.3-2.4).
   std::unordered_map<uint64_t, RecentExecution> recent;
-  /// Latest parameters per template (mapping observations).
-  std::unordered_map<uint64_t, std::vector<common::Value>> recent_params;
   /// Last client execution time per template. Mapping observations are
   /// scoped to source executions newer than the destination's previous
   /// execution, so a query is never attributed to a stale source from an

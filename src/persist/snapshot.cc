@@ -9,6 +9,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "obs/trace_log.h"
 #include "persist/crc32c.h"
 #include "persist/wire.h"
 
@@ -192,6 +193,41 @@ util::Result<Snapshot> ReadSnapshotFile(const std::string& path) {
   }
   std::string bytes = std::move(buf).str();
   return ParseSnapshot(bytes);
+}
+
+void ApplySections(
+    const Snapshot& snap, RestoreStats* stats, obs::TraceLog* trace,
+    const std::function<util::Status(uint32_t type, const std::string& payload,
+                                     RestoreStats* stats)>& apply) {
+  RestoreStats local;
+  if (stats == nullptr) stats = &local;
+  stats->sections_total = static_cast<uint32_t>(snap.sections.size());
+  stats->truncated = snap.truncated;
+  const bool traced = trace != nullptr && trace->enabled();
+  for (const SnapshotSection& sec : snap.sections) {
+    stats->snapshot_bytes += kSectionHeaderBytes + sec.payload.size();
+    util::Status s =
+        sec.crc_ok ? apply(sec.type, sec.payload, stats)
+                   : util::Status::InvalidArgument("section crc mismatch");
+    if (s.ok()) {
+      ++stats->sections_loaded;
+      continue;
+    }
+    if (s.code() == util::StatusCode::kNotFound) {
+      ++stats->sections_unknown;
+    } else {
+      ++stats->sections_corrupt;
+    }
+    if (traced) {
+      trace->Record(obs::TraceEventType::kSnapshotSectionSkipped, -1, 0,
+                    obs::SkipReason::kNone, sec.type);
+    }
+  }
+  stats->snapshot_bytes += kHeaderBytes;
+  if (traced) {
+    trace->Record(obs::TraceEventType::kSnapshotRestored, -1, 0,
+                  obs::SkipReason::kNone, stats->sections_loaded);
+  }
 }
 
 }  // namespace apollo::persist

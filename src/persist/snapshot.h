@@ -21,12 +21,17 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "util/result.h"
 #include "util/status.h"
+
+namespace apollo::obs {
+class TraceLog;
+}  // namespace apollo::obs
 
 namespace apollo::persist {
 
@@ -113,6 +118,18 @@ util::Result<Snapshot> ParseSnapshot(std::string_view bytes);
 
 /// Reads `path` and parses it. kNotFound when the file does not exist.
 util::Result<Snapshot> ReadSnapshotFile(const std::string& path);
+
+/// Applies every section of `snap` in order through `apply`, which
+/// returns OK (loaded), kNotFound (type it does not own: unknown) or any
+/// other error (corrupt). Sections failing their CRC are corrupt without
+/// reaching `apply`. Fills `stats` (a local when null) and records the
+/// kSnapshotSectionSkipped / kSnapshotRestored events into `trace`.
+/// Both runtimes' restores run through this, so partial recovery is
+/// accounted the same way everywhere.
+void ApplySections(
+    const Snapshot& snap, RestoreStats* stats, obs::TraceLog* trace,
+    const std::function<util::Status(uint32_t type, const std::string& payload,
+                                     RestoreStats* stats)>& apply);
 
 /// Atomic byte-level file write (tmp + fsync + rename + dir fsync);
 /// shared by SnapshotWriter::WriteAtomic and tests.

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -20,6 +21,11 @@
 #include "core/template_registry.h"
 #include "core/transition_graph.h"
 #include "util/result.h"
+
+namespace apollo::core {
+struct ApolloConfig;
+struct ClientSession;
+}  // namespace apollo::core
 
 namespace apollo::persist {
 
@@ -52,5 +58,28 @@ struct SessionsState {
 
 std::string EncodeSessions(const SessionsState& st);
 util::Result<SessionsState> DecodeSessions(std::string_view payload);
+
+// ---- Sessions-section glue shared by both runtimes (defined in
+// src/persist/middleware_persist.cc) ----
+
+struct RestoreStats;
+
+/// Folds every transition window already closed by `now` into the
+/// session's graphs (the scanner is lazy), then copies the graphs and the
+/// satisfied sets, sorted. Only still-open windows stay out.
+SessionState ExportSession(core::ClientSession& session, util::SimTime now);
+
+/// Merges one snapshot entry: graphs are replaced, satisfied sets unioned.
+util::Status ImportSession(const SessionState& state,
+                           core::ClientSession* session);
+
+/// Decodes a sessions section and applies it to every session or to none:
+/// each entry's delta-t ladder must match the one `config` builds.
+/// `import` merges one entry into the runtime's session (creating it)
+/// under the runtime's own locking.
+util::Status RestoreSessions(
+    std::string_view payload, const core::ApolloConfig& config,
+    RestoreStats* stats,
+    const std::function<util::Status(const SessionState&)>& import);
 
 }  // namespace apollo::persist

@@ -6,15 +6,10 @@
 
 #include "persist/snapshot.h"
 #include "persist/state_codec.h"
-#include "sql/template.h"
 
 namespace apollo::rt {
 
 namespace {
-/// Fallback runtime estimate for templates never executed remotely
-/// (mirrors ApolloMiddleware's constant).
-constexpr double kDefaultRuntimeUs = 100'000.0;  // 100 ms
-
 int64_t WallMicrosSince(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration_cast<std::chrono::microseconds>(
              std::chrono::steady_clock::now() - t0)
@@ -44,6 +39,33 @@ BatchStatement StatementFor(const sql::AdmittedQuery& adm, bool is_write) {
 }
 }  // namespace
 
+/// Planner sink for one rt pass: the brownout veto, then either the
+/// trigger's batch plan (batch_wan) or one pool dispatch per prediction.
+class ConcurrentApollo::PlanSink final : public core::PredictionSink {
+ public:
+  PlanSink(ConcurrentApollo* rt, Session* s, PredictionPlan* plan)
+      : rt_(rt), s_(s), plan_(plan) {}
+  bool Veto(const core::ClientSession& session, const core::Fdq& f,
+            uint64_t trigger) override {
+    return rt_->brownout_ != nullptr &&
+           rt_->BrownoutVetoesPrediction(session, f, trigger);
+  }
+  void Issue(uint64_t template_id, const std::string& sql, int depth,
+             double probability) override {
+    PredictionItem item{template_id, sql, depth, probability};
+    if (plan_ == nullptr) {
+      rt_->PredictiveExecute(*s_, std::move(item));
+    } else {
+      plan_->items.push_back(std::move(item));
+    }
+  }
+
+ private:
+  ConcurrentApollo* rt_;
+  Session* s_;
+  PredictionPlan* plan_;
+};
+
 ConcurrentApollo::ConcurrentApollo(db::Database* db,
                                    ConcurrentApolloConfig config,
                                    obs::Observability* obs,
@@ -55,9 +77,7 @@ ConcurrentApollo::ConcurrentApollo(db::Database* db,
       obs_(obs == nullptr ? owned_obs_.get() : obs),
       cache_(config_.cache_bytes, config_.cache_shards, obs_,
              metric_prefix + "cache.", BuildCacheOptions(config_.apollo)),
-      mapper_(config_.apollo.verification_period,
-              core::ParamMapper::kDefaultStripes,
-              config_.apollo.max_param_pairs),
+      planner_(config_.apollo, &templates_),
       brownout_(config_.overload.enabled
                     ? std::make_unique<BrownoutController>(
                           config_.overload, obs_,
@@ -108,10 +128,20 @@ ConcurrentApollo::ConcurrentApollo(db::Database* db,
   if (config_.apollo.max_transition_edges > 0) {
     learning_pruned_edges_ = m.RegisterCounter(p + "learning_pruned_edges");
   }
-  if (config_.apollo.max_param_pairs > 0) {
-    learning_pruned_pairs_ = m.RegisterCounter(p + "learning_pruned_pairs");
-    mapper_.SetPruneCounter(learning_pruned_pairs_);
-  }
+  // rt exports one skip counter for every reason; the trace tells them
+  // apart.
+  planner_.AttachInstruments(
+      {.fdqs_discovered = c_.fdqs_discovered,
+       .fdqs_invalidated = c_.fdqs_invalidated,
+       .adq_reloads = c_.adq_reloads,
+       .skipped_fresh = c_.predictions_skipped,
+       .skipped_incomplete = c_.predictions_skipped,
+       .skipped_invalid = c_.predictions_skipped,
+       .learning_pruned_pairs =
+           config_.apollo.max_param_pairs > 0
+               ? m.RegisterCounter(p + "learning_pruned_pairs")
+               : nullptr,
+       .trace = &obs_->trace});
   if (config_.overload.enabled) {
     overload_rejected_ = m.RegisterCounter(p + "overload.rejected");
     deadline_missed_ = m.RegisterCounter(p + "overload.deadline_missed");
@@ -235,35 +265,19 @@ std::string ConcurrentApollo::BuildSnapshotBytes(int64_t* copy_wall_us) {
   // learn shards, so holding every shard (fixed ascending order) makes
   // the copy consistent across structures.
   core::TemplateRegistry::State tstate;
-  core::ParamMapper::State mstate;
-  core::DependencyGraph::State dstate;
+  core::PredictionPlanner::State pstate;
   persist::SessionsState sstate;
   const auto copy_t0 = std::chrono::steady_clock::now();
   {
     auto learn = LockAllLearn();
     tstate = templates_.ExportState();
-    mstate = mapper_.ExportState();
-    dstate = deps_.ExportState();
+    pstate = planner_.ExportState();
     const util::SimTime now_us = NowUs();
     std::lock_guard<std::mutex> slock(sessions_mu_);
     sstate.sessions.reserve(sessions_.size());
     for (const auto& [id, session] : sessions_) {
       std::lock_guard<std::mutex> lk(session->mu);
-      // Fold windows already closed by now into the graphs (the scanner
-      // is lazy); only still-open windows stay out of the snapshot.
-      session->core.stream.Process(now_us);
-      persist::SessionState s;
-      s.id = id;
-      s.graphs = session->core.stream.ExportGraphState();
-      s.satisfied.reserve(session->core.satisfied.size());
-      for (const auto& [fdq, deps] : session->core.satisfied) {
-        std::vector<uint64_t> sorted_deps(deps.begin(), deps.end());
-        std::sort(sorted_deps.begin(), sorted_deps.end());
-        s.satisfied.emplace_back(fdq, std::move(sorted_deps));
-      }
-      std::sort(s.satisfied.begin(), s.satisfied.end(),
-                [](const auto& a, const auto& b) { return a.first < b.first; });
-      sstate.sessions.push_back(std::move(s));
+      sstate.sessions.push_back(persist::ExportSession(session->core, now_us));
     }
   }
   if (copy_wall_us != nullptr) *copy_wall_us = WallMicrosSince(copy_t0);
@@ -275,10 +289,7 @@ std::string ConcurrentApollo::BuildSnapshotBytes(int64_t* copy_wall_us) {
   persist::SnapshotWriter w;
   w.AddSection(persist::kSectionTemplates, persist::EncodeTemplates(tstate));
   w.AddSection(persist::kSectionSessions, persist::EncodeSessions(sstate));
-  w.AddSection(persist::kSectionParamMapper,
-               persist::EncodeParamMapper(mstate));
-  w.AddSection(persist::kSectionDependencyGraph,
-               persist::EncodeDependencyGraph(dstate));
+  core::PredictionPlanner::WriteSections(pstate, &w);
   return w.Serialize(static_cast<uint64_t>(NowUs()));
 }
 
@@ -303,119 +314,31 @@ util::Status ConcurrentApollo::RestoreFromBytes(std::string_view bytes,
 
 void ConcurrentApollo::ApplySnapshot(const persist::Snapshot& snap,
                                      persist::RestoreStats* stats) {
-  persist::RestoreStats local;
-  if (stats == nullptr) stats = &local;
-  stats->sections_total = static_cast<uint32_t>(snap.sections.size());
-  stats->truncated = snap.truncated;
-
-  // The delta-t ladder sessions in the snapshot must match (same rule as
-  // the event-loop middleware: a sessions section applies to every
-  // session or to none).
-  std::vector<util::SimDuration> ladder = config_.apollo.delta_ts;
-  std::sort(ladder.begin(), ladder.end());
-  if (ladder.empty()) ladder.push_back(util::Seconds(15));
-
   auto learn = LockAllLearn();
-  for (const persist::SnapshotSection& sec : snap.sections) {
-    stats->snapshot_bytes += persist::kSectionHeaderBytes + sec.payload.size();
-    bool loaded = false;
-    bool unknown = false;
-    if (sec.crc_ok) {
-      switch (sec.type) {
-        case persist::kSectionTemplates: {
-          auto st = persist::DecodeTemplates(sec.payload);
-          if (st.ok()) {
-            stats->templates += st->templates.size();
-            templates_.ImportState(*st);
-            loaded = true;
+  persist::ApplySections(
+      snap, stats, &obs_->trace,
+      [this](uint32_t type, const std::string& payload,
+             persist::RestoreStats* st) -> util::Status {
+        switch (type) {
+          case persist::kSectionTemplates: {
+            core::TemplateRegistry::State ts;
+            APOLLO_ASSIGN_OR_RETURN(ts, persist::DecodeTemplates(payload));
+            st->templates += ts.templates.size();
+            templates_.ImportState(ts);
+            return util::Status::OK();
           }
-          break;
+          case persist::kSectionSessions:
+            return persist::RestoreSessions(
+                payload, config_.apollo, st,
+                [this](const persist::SessionState& s) {
+                  Session& session = SessionFor(s.id);
+                  std::lock_guard<std::mutex> lk(session.mu);
+                  return persist::ImportSession(s, &session.core);
+                });
+          default:
+            return planner_.RestoreSection(type, payload, st);
         }
-        case persist::kSectionParamMapper: {
-          auto st = persist::DecodeParamMapper(sec.payload);
-          if (st.ok()) {
-            stats->pairs += st->pairs.size();
-            mapper_.ImportState(*st);
-            loaded = true;
-          }
-          break;
-        }
-        case persist::kSectionDependencyGraph: {
-          auto st = persist::DecodeDependencyGraph(sec.payload);
-          if (st.ok()) {
-            stats->fdqs += st->fdqs.size();
-            deps_.ImportState(*st);
-            loaded = true;
-          }
-          break;
-        }
-        case persist::kSectionSessions: {
-          auto st = persist::DecodeSessions(sec.payload);
-          if (st.ok()) {
-            bool ladders_match = true;
-            for (const persist::SessionState& s : st->sessions) {
-              if (s.graphs.size() != ladder.size()) {
-                ladders_match = false;
-                break;
-              }
-              for (size_t i = 0; i < ladder.size(); ++i) {
-                if (s.graphs[i].delta_t != ladder[i]) ladders_match = false;
-              }
-            }
-            if (ladders_match) {
-              std::lock_guard<std::mutex> slock(sessions_mu_);
-              for (const persist::SessionState& s : st->sessions) {
-                auto it = sessions_.find(s.id);
-                if (it == sessions_.end()) {
-                  it = sessions_
-                           .emplace(s.id, std::make_unique<Session>(
-                                              s.id, config_.apollo))
-                           .first;
-                  if (learning_pruned_edges_ != nullptr) {
-                    it->second->core.stream.SetPruneCounter(
-                        learning_pruned_edges_);
-                  }
-                }
-                Session& session = *it->second;
-                std::lock_guard<std::mutex> lk(session.mu);
-                util::Status gs =
-                    session.core.stream.ImportGraphState(s.graphs);
-                (void)gs;  // ladder pre-validated above
-                for (const auto& [fdq, dep_ids] : s.satisfied) {
-                  auto& set = session.core.satisfied[fdq];
-                  set.insert(dep_ids.begin(), dep_ids.end());
-                }
-              }
-              stats->sessions += st->sessions.size();
-              loaded = true;
-            }
-          }
-          break;
-        }
-        default:
-          unknown = true;
-          break;
-      }
-    }
-    if (loaded) {
-      ++stats->sections_loaded;
-      continue;
-    }
-    if (unknown) {
-      ++stats->sections_unknown;
-    } else {
-      ++stats->sections_corrupt;
-    }
-    if (obs_->trace.enabled()) {
-      obs_->trace.Record(obs::TraceEventType::kSnapshotSectionSkipped, -1, 0,
-                         obs::SkipReason::kNone, sec.type);
-    }
-  }
-  stats->snapshot_bytes += persist::kHeaderBytes;
-  if (obs_->trace.enabled()) {
-    obs_->trace.Record(obs::TraceEventType::kSnapshotRestored, -1, 0,
-                       obs::SkipReason::kNone, stats->sections_loaded);
-  }
+      });
 }
 
 util::SimTime ConcurrentApollo::NowUs() const {
@@ -572,34 +495,17 @@ util::Result<common::ResultSetPtr> ConcurrentApollo::ExecuteRead(
   core::TemplateMeta* meta = templates_.Intern(adm);
   templates_.BumpObservations(meta);
 
-  cache::VersionVector vv_copy;
-  {
-    std::lock_guard<std::mutex> lock(session.mu);
-    vv_copy = session.core.vv;
-  }
+  cache::VersionVector vv_copy = session.Vv();
   auto entry =
       cache_.GetCompatible(adm.canonical_text, vv_copy, adm.tables_read());
-  if (entry.has_value()) {
-    c_.cache_hits->Inc();
-    {
-      std::lock_guard<std::mutex> lock(session.mu);
-      session.core.vv.MergeMax(entry->stamp, adm.tables_read());
-    }
-    common::ResultSetPtr rs = entry->result;
-    FinishRead(session, adm, entry->result, /*remote_time=*/0);
-    return rs;
-  }
+  if (entry.has_value()) return ServeCached(session, adm, *entry);
   // L3 serve-stale-within-bound: before paying a remote round trip the
   // middleware can no longer afford, serve an entry that fails the full
   // session-freshness check but (a) is younger than stale_bound and
   // (b) still covers this session's own writes (read-your-writes holds;
   // cross-session monotonic reads are what brownout relaxes).
   if (brownout_ != nullptr && brownout_->ServeStaleAllowed()) {
-    cache::VersionVector written_floor;
-    {
-      std::lock_guard<std::mutex> lock(session.mu);
-      written_floor = session.written_vv;
-    }
+    cache::VersionVector written_floor = session.WrittenVv();
     const int64_t min_put_us =
         NowUs() - std::chrono::duration_cast<std::chrono::microseconds>(
                       config_.overload.stale_bound)
@@ -607,22 +513,13 @@ util::Result<common::ResultSetPtr> ConcurrentApollo::ExecuteRead(
     auto stale = cache_.GetStaleWithin(adm.canonical_text, written_floor,
                                        adm.tables_read(), min_put_us);
     if (stale.has_value()) {
-      c_.cache_hits->Inc();
       stale_served_->Inc();
       if (obs_->trace.enabled()) {
         obs_->trace.Record(obs::TraceEventType::kStaleServed,
                            static_cast<int>(session.core.id),
                            adm.fingerprint());
       }
-      {
-        // MergeMax only ever advances the vector, so acknowledging the
-        // stale entry's stamp is safe even when it trails the session.
-        std::lock_guard<std::mutex> lock(session.mu);
-        session.core.vv.MergeMax(stale->stamp, adm.tables_read());
-      }
-      common::ResultSetPtr rs = stale->result;
-      FinishRead(session, adm, stale->result, /*remote_time=*/0);
-      return rs;
+      return ServeCached(session, adm, *stale);
     }
   }
   c_.cache_misses->Inc();
@@ -681,28 +578,54 @@ util::Result<common::ResultSetPtr> ConcurrentApollo::ExecuteRead(
   return RemoteRead(session, adm, /*publish=*/true, deadline);
 }
 
+util::Result<common::ResultSetPtr> ConcurrentApollo::ServeCached(
+    Session& session, const sql::AdmittedQuery& adm,
+    const cache::CacheEntry& entry) {
+  c_.cache_hits->Inc();
+  {
+    // MergeMax only ever advances the vector, so acknowledging a stale
+    // entry's stamp is safe even when it trails the session.
+    std::lock_guard<std::mutex> lock(session.mu);
+    session.core.vv.MergeMax(entry.stamp, adm.tables_read());
+  }
+  FinishRead(session, adm, entry.result, /*remote_time=*/0);
+  return entry.result;
+}
+
 util::Result<common::ResultSetPtr> ConcurrentApollo::RemoteRead(
     Session& session, const sql::AdmittedQuery& adm, bool publish,
     Deadline deadline) {
   if (config_.batch_wan) {
     return BatchedRemoteRead(session, adm, publish, deadline);
   }
-  const std::string key = adm.canonical_text;
-  const uint64_t session_key = static_cast<uint64_t>(session.core.id);
   auto t0 = std::chrono::steady_clock::now();
+  RemoteResult rr = SendOne(session, adm, /*is_write=*/false, deadline);
+  const util::SimDuration remote_time = WallMicrosSince(t0);
+  auto rs = LandRemoteRead(session, adm, rr, remote_time, publish);
+  if (rs.ok()) FinishRead(session, adm, *rs, remote_time);
+  return rs;
+}
+
+RemoteResult ConcurrentApollo::SendOne(Session& session,
+                                      const sql::AdmittedQuery& adm,
+                                      bool is_write, Deadline deadline) {
+  const auto& tables = is_write ? adm.tables_written() : adm.tables_read();
+  const uint64_t session_key = static_cast<uint64_t>(session.core.id);
   // Preparable admissions ship the cached statement + bound parameters to
   // the gateway; the SQL text is never re-parsed.
-  Future<RemoteResult> future =
-      adm.preparable()
-          ? gateway_.ExecutePreparedAsync(&pool_, adm.tpl, adm.params,
-                                          /*is_write=*/false,
-                                          adm.tables_read(), deadline,
-                                          session_key)
-          : gateway_.ExecuteAsync(&pool_, key, /*is_write=*/false,
-                                  adm.tables_read(), deadline, session_key);
-  RemoteResult rr = future.Take();
-  util::SimDuration remote_time = WallMicrosSince(t0);
+  return (adm.preparable()
+              ? gateway_.ExecutePreparedAsync(&pool_, adm.tpl, adm.params,
+                                              is_write, tables, deadline,
+                                              session_key)
+              : gateway_.ExecuteAsync(&pool_, adm.canonical_text, is_write,
+                                      tables, deadline, session_key))
+      .Take();
+}
 
+util::Result<common::ResultSetPtr> ConcurrentApollo::LandRemoteRead(
+    Session& session, const sql::AdmittedQuery& adm, const RemoteResult& rr,
+    util::SimDuration remote_time, bool publish) {
+  const std::string& key = adm.canonical_text;
   if (!rr.result.ok()) {
     if (publish) inflight_.Complete(key, rr.result, {});
     return rr.result.status();
@@ -724,16 +647,13 @@ util::Result<common::ResultSetPtr> ConcurrentApollo::RemoteRead(
       session.core.vv.AdvanceTo(t, stamp.Get(t));
     }
   }
-  common::ResultSetPtr rs = *rr.result;
   if (publish) inflight_.Complete(key, rr.result, stamp);
-  FinishRead(session, adm, rs, remote_time);
-  return util::Result<common::ResultSetPtr>(std::move(rs));
+  return rr.result;
 }
 
 util::Result<common::ResultSetPtr> ConcurrentApollo::BatchedRemoteRead(
     Session& session, const sql::AdmittedQuery& adm, bool publish,
     Deadline deadline) {
-  const std::string key = adm.canonical_text;
   const uint64_t session_key = static_cast<uint64_t>(session.core.id);
   core::TemplateMeta* meta = templates_.Get(adm.fingerprint());
 
@@ -747,73 +667,27 @@ util::Result<common::ResultSetPtr> ConcurrentApollo::BatchedRemoteRead(
   // speculative knowledge the unbatched path would not have recorded.
   PredictionPlan plan;
   if (config_.apollo.enable_prediction) {
-    Completed q;
-    q.template_id = adm.fingerprint();
-    q.meta = meta;
-    q.params = adm.params;
-    q.result = nullptr;
-    q.read_only = true;
-    q.result_pending = true;
     auto lock = LockLearn(session_key);
-    OnQueryCompleted(session, q, &plan);
+    OnQueryCompleted(session, adm, /*result=*/nullptr,
+                     /*pending_fresh=*/adm.fingerprint(), &plan);
   }
 
   // Cache-skip checks for co-issued items run against the versions this
   // round trip is about to make the session observe (the current table
   // versions), matching the decision the unbatched path takes after its
   // trip has advanced the session vector.
-  cache::VersionVector vv_check;
-  {
-    std::lock_guard<std::mutex> lock(session.mu);
-    vv_check = session.core.vv;
-  }
+  cache::VersionVector vv_check = session.Vv();
   for (const auto& [t, v] : db_->VersionsOf(adm.tables_read())) {
     vv_check.AdvanceTo(t, v);
   }
 
-  std::vector<BatchStatement> stmts;
-  std::vector<ArmedPrediction> armed;
-  stmts.reserve(plan.items.size() + 1);
-  stmts.push_back(StatementFor(adm, /*is_write=*/false));
-  std::vector<PredictionItem> overflow =
-      ArmCoIssued(session, std::move(plan.items), vv_check, &stmts, &armed);
-
-  auto t0 = std::chrono::steady_clock::now();
-  std::vector<Future<RemoteResult>> futures =
-      gateway_.ExecuteBatchAsync(&pool_, std::move(stmts), deadline,
-                                 session_key);
-  for (size_t i = 0; i < armed.size(); ++i) {
-    auto a = std::make_shared<ArmedPrediction>(std::move(armed[i]));
-    futures[i + 1].Then(
-        [this, &session, a, t0](const RemoteResult& rr) {
-          FinishPrediction(session, *a, t0, rr);
-        });
-  }
-  if (!overflow.empty()) IssuePredictionPlan(session, std::move(overflow));
-
-  RemoteResult rr = futures[0].Take();
-  util::SimDuration remote_time = WallMicrosSince(t0);
-  if (!rr.result.ok()) {
-    if (publish) inflight_.Complete(key, rr.result, {});
-    return rr.result.status();
-  }
-  cache::VersionVector stamp;
-  for (const auto& [t, v] : rr.versions) stamp.Set(t, v);
-  {
-    cache::KvCache::PutAttrs attrs;
-    attrs.template_id = adm.fingerprint();
-    attrs.put_time_us = NowUs();
-    attrs.miss_cost_us = static_cast<double>(remote_time);
-    cache_.Put(key, *rr.result, stamp, attrs);
-  }
-  {
-    std::lock_guard<std::mutex> lock(session.mu);
-    for (const auto& t : adm.tables_read()) {
-      session.core.vv.AdvanceTo(t, stamp.Get(t));
-    }
-  }
-  common::ResultSetPtr rs = *rr.result;
-  if (publish) inflight_.Complete(key, rr.result, stamp);
+  std::chrono::steady_clock::time_point t0;
+  RemoteResult rr = CoIssue(session, StatementFor(adm, /*is_write=*/false),
+                            std::move(plan.items), vv_check, deadline, &t0)
+                        .Take();
+  const util::SimDuration remote_time = WallMicrosSince(t0);
+  auto rs = LandRemoteRead(session, adm, rr, remote_time, publish);
+  if (!rs.ok()) return rs;
   if (meta != nullptr) meta->RecordExecution(remote_time);
   // Post-pass: the result lands in `recent`, and predictions parked on it
   // get their (single) retry with the source rows now available.
@@ -822,15 +696,19 @@ util::Result<common::ResultSetPtr> ConcurrentApollo::BatchedRemoteRead(
     {
       auto lock = LockLearn(session_key);
       std::lock_guard<std::mutex> slock(session.mu);
-      session.core.recent[adm.fingerprint()] = {rs, NowUs()};
-      for (core::Fdq* f : plan.deferred) {
-        TryPredict(session, f, adm.fingerprint(), /*depth=*/0, &post,
-                   /*pending_fresh=*/0);
+      const util::SimTime now = NowUs();
+      session.core.recent[adm.fingerprint()] = {*rs, now};
+      PlanSink sink(this, &session, &post);
+      for (const core::Fdq* f : plan.deferred) {
+        planner_.TryPredict(session.core, *f, adm.fingerprint(),
+                            /*depth=*/0, now, sink);
       }
     }
-    if (!post.items.empty()) IssuePredictionPlan(session, std::move(post.items));
+    if (!post.items.empty()) {
+      IssuePredictionPlan(session, std::move(post.items));
+    }
   }
-  return util::Result<common::ResultSetPtr>(std::move(rs));
+  return rs;
 }
 
 void ConcurrentApollo::FinishRead(Session& session,
@@ -840,17 +718,11 @@ void ConcurrentApollo::FinishRead(Session& session,
   core::TemplateMeta* meta = templates_.Get(adm.fingerprint());
   if (meta != nullptr && remote_time > 0) meta->RecordExecution(remote_time);
   if (!config_.apollo.enable_prediction) return;
-  Completed q;
-  q.template_id = adm.fingerprint();
-  q.meta = meta;
-  q.params = adm.params;
-  q.result = std::move(result);
-  q.read_only = true;
   PredictionPlan plan;
   PredictionPlan* collector = config_.batch_wan ? &plan : nullptr;
   {
     auto lock = LockLearn(static_cast<uint64_t>(session.core.id));
-    OnQueryCompleted(session, q, collector);
+    OnQueryCompleted(session, adm, result, /*pending_fresh=*/0, collector);
   }
   if (!plan.items.empty()) IssuePredictionPlan(session, std::move(plan.items));
 }
@@ -864,45 +736,14 @@ util::Result<common::ResultSetPtr> ConcurrentApollo::ExecuteWrite(
   const uint64_t session_key = static_cast<uint64_t>(session.core.id);
   if (!config_.batch_wan) {
     auto t0 = std::chrono::steady_clock::now();
-    Future<RemoteResult> future =
-        adm.preparable()
-            ? gateway_.ExecutePreparedAsync(&pool_, adm.tpl, adm.params,
-                                            /*is_write=*/true,
-                                            adm.tables_written(), deadline,
-                                            session_key)
-            : gateway_.ExecuteAsync(&pool_, adm.canonical_text,
-                                    /*is_write=*/true, adm.tables_written(),
-                                    deadline, session_key);
-    RemoteResult rr = future.Take();
-    util::SimDuration remote_time = WallMicrosSince(t0);
-    if (!rr.result.ok()) return rr.result.status();
-
-    {
-      std::lock_guard<std::mutex> lock(session.mu);
-      // The client has now observed the post-write versions of every table
-      // the statement touched (paper 3.2).
-      for (const auto& [t, v] : rr.versions) {
-        session.core.vv.AdvanceTo(t, v);
-        // Floor for brownout serve-stale: the session's own writes are
-        // never relaxed, whatever the degradation level.
-        session.written_vv.AdvanceTo(t, v);
-      }
-    }
-    if (meta != nullptr) meta->RecordExecution(remote_time);
-    if (config_.on_write) config_.on_write(rr.versions);
-
-    if (config_.apollo.enable_prediction) {
-      Completed q;
-      q.template_id = adm.fingerprint();
-      q.meta = meta;
-      q.params = std::move(adm.params);
-      q.result = nullptr;
-      q.read_only = false;
-      q.tables_written = adm.tables_written();
+    RemoteResult rr = SendOne(session, adm, /*is_write=*/true, deadline);
+    auto out = LandWrite(session, meta, rr, WallMicrosSince(t0));
+    if (out.ok() && config_.apollo.enable_prediction) {
       auto lock = LockLearn(session_key);
-      OnQueryCompleted(session, q, /*plan=*/nullptr);
+      OnQueryCompleted(session, adm, /*result=*/nullptr, /*pending_fresh=*/0,
+                       /*plan=*/nullptr);
     }
-    return rr.result;
+    return out;
   }
 
   // Batched write: the learning pass (including informed ADQ reload)
@@ -913,56 +754,38 @@ util::Result<common::ResultSetPtr> ConcurrentApollo::ExecuteWrite(
   // failed write leaves the (harmless) learning record behind.
   PredictionPlan plan;
   if (config_.apollo.enable_prediction) {
-    Completed q;
-    q.template_id = adm.fingerprint();
-    q.meta = meta;
-    q.params = adm.params;
-    q.result = nullptr;
-    q.read_only = false;
-    q.tables_written = adm.tables_written();
     auto lock = LockLearn(session_key);
-    OnQueryCompleted(session, q, &plan);
+    OnQueryCompleted(session, adm, /*result=*/nullptr, /*pending_fresh=*/0,
+                     &plan);
   }
   // Arm co-issued predictions against post-write visibility: the write
   // in this batch bumps every written table past any resident cache
   // stamp, so cached entries reading those tables can never satisfy the
   // skip check — exactly the decision the unbatched path takes after its
   // write advanced the session vector.
-  cache::VersionVector vv_check;
-  {
-    std::lock_guard<std::mutex> lock(session.mu);
-    vv_check = session.core.vv;
-  }
+  cache::VersionVector vv_check = session.Vv();
   for (const auto& t : adm.tables_written()) {
     vv_check.AdvanceTo(t, std::numeric_limits<uint64_t>::max());
   }
-  std::vector<BatchStatement> stmts;
-  std::vector<ArmedPrediction> armed;
-  stmts.reserve(plan.items.size() + 1);
-  stmts.push_back(StatementFor(adm, /*is_write=*/true));
-  std::vector<PredictionItem> overflow =
-      ArmCoIssued(session, std::move(plan.items), vv_check, &stmts, &armed);
+  std::chrono::steady_clock::time_point t0;
+  RemoteResult rr = CoIssue(session, StatementFor(adm, /*is_write=*/true),
+                            std::move(plan.items), vv_check, deadline, &t0)
+                        .Take();
+  return LandWrite(session, meta, rr, WallMicrosSince(t0));
+}
 
-  auto t0 = std::chrono::steady_clock::now();
-  std::vector<Future<RemoteResult>> futures =
-      gateway_.ExecuteBatchAsync(&pool_, std::move(stmts), deadline,
-                                 session_key);
-  for (size_t i = 0; i < armed.size(); ++i) {
-    auto a = std::make_shared<ArmedPrediction>(std::move(armed[i]));
-    futures[i + 1].Then(
-        [this, &session, a, t0](const RemoteResult& rr) {
-          FinishPrediction(session, *a, t0, rr);
-        });
-  }
-  if (!overflow.empty()) IssuePredictionPlan(session, std::move(overflow));
-
-  RemoteResult rr = futures[0].Take();
-  util::SimDuration remote_time = WallMicrosSince(t0);
+util::Result<common::ResultSetPtr> ConcurrentApollo::LandWrite(
+    Session& session, core::TemplateMeta* meta, const RemoteResult& rr,
+    util::SimDuration remote_time) {
   if (!rr.result.ok()) return rr.result.status();
   {
     std::lock_guard<std::mutex> lock(session.mu);
+    // The client has now observed the post-write versions of every table
+    // the statement touched (paper 3.2).
     for (const auto& [t, v] : rr.versions) {
       session.core.vv.AdvanceTo(t, v);
+      // Floor for brownout serve-stale: the session's own writes are
+      // never relaxed, whatever the degradation level.
       session.written_vv.AdvanceTo(t, v);
     }
   }
@@ -972,90 +795,34 @@ util::Result<common::ResultSetPtr> ConcurrentApollo::ExecuteWrite(
 }
 
 // ---------------------------------------------------------------------------
-// Learning / prediction (ApolloMiddleware's pipeline under the learn shards)
+// Learning / prediction: core::PredictionPlanner under the learn shards
 // ---------------------------------------------------------------------------
 
-void ConcurrentApollo::OnQueryCompleted(Session& s, const Completed& q,
+void ConcurrentApollo::OnQueryCompleted(Session& s,
+                                        const sql::AdmittedQuery& adm,
+                                        const common::ResultSetPtr& result,
+                                        uint64_t pending_fresh,
                                         PredictionPlan* plan) {
   const util::SimTime now = NowUs();
-  // The pending template (pre-issue pass only) counts as fresh: the
-  // post-completion pass of the unbatched path would see it in `recent`.
-  const uint64_t pending_fresh =
-      (q.result_pending && q.read_only) ? q.template_id : 0;
-  bool removed_self = false;
+  const uint64_t qt = adm.fingerprint();
+  uint64_t removed = 0;
   {
     std::lock_guard<std::mutex> slock(s.mu);
-    core::ClientSession& session = s.core;
-
-    // --- Learning: stream + transition graphs (Algorithm 1) ---
-    session.stream.Append(q.template_id, now);
-    session.stream.Process(now);
-
-    if (q.read_only && q.result != nullptr) {
-      session.recent[q.template_id] = {q.result, now};
-    }
-    session.recent_params[q.template_id] = q.params;
-
-    // --- Parameter-mapping observations (Section 2.3), scoped to sources
-    // newer than this query's own previous execution ---
-    util::SimTime prev_dst_time = -1;
-    {
-      auto lit = session.last_seen.find(q.template_id);
-      if (lit != session.last_seen.end()) prev_dst_time = lit->second;
-      session.last_seen[q.template_id] = now;
-    }
-    const util::SimDuration primary_dt = session.stream.primary().delta_t();
-    if (q.read_only && !q.params.empty()) {
-      auto entries = session.stream.EntriesWithin(now, primary_dt);
-      if (!entries.empty()) entries.pop_back();  // drop the current query
-      std::unordered_set<uint64_t> seen;
-      for (auto it = entries.rbegin(); it != entries.rend(); ++it) {
-        if (it->qt == q.template_id) continue;
-        if (it->time <= prev_dst_time) break;  // earlier transaction
-        if (!seen.insert(it->qt).second) continue;
-        auto rit = session.recent.find(it->qt);
-        if (rit == session.recent.end()) continue;
-        if (rit->second.result == nullptr) continue;
-        if (rit->second.time + primary_dt < now) continue;
-        bool disproven = mapper_.ObservePair(it->qt, *rit->second.result,
-                                             q.template_id, q.params);
-        if (disproven && deps_.Contains(q.template_id)) {
-          deps_.Remove(q.template_id);
-          // Own satisfied entry goes now; the other sessions' entries are
-          // cleared after this session's mu is released (see
-          // ClearSatisfiedOthers' deadlock note).
-          session.satisfied.erase(q.template_id);
-          removed_self = true;
-          c_.fdqs_invalidated->Inc();
-        }
-      }
-    }
-
-    // --- Core prediction routine (Algorithm 2) ---
-    std::vector<core::Fdq*> new_fdqs = FindNewFdqs(session, q.template_id);
-    std::vector<core::Fdq*> ready =
-        MarkReadyDependency(session, q.template_id);
-    for (core::Fdq* f : new_fdqs) {
-      if (DepsFresh(session, *f, pending_fresh) &&
-          std::find(ready.begin(), ready.end(), f) == ready.end()) {
-        ready.push_back(f);
-      }
-    }
-    for (core::Fdq* f : ready) {
-      TryPredict(s, f, q.template_id, /*depth=*/0, plan, pending_fresh);
-    }
-
-    // --- Informed ADQ reload after writes (Section 3.4.2) ---
-    if (!q.read_only && config_.apollo.enable_adq_reload) {
+    removed =
+        planner_.Learn(s.core, qt, adm.params, result, adm.read_only(), now);
+    PlanSink sink(this, &s, plan);
+    planner_.Predict(s.core, qt, now, sink, pending_fresh,
+                     plan != nullptr ? &plan->deferred : nullptr);
+    if (!adm.read_only() && config_.apollo.enable_adq_reload) {
       if (brownout_ != nullptr && brownout_->ShedAdqReloads()) {
         // >= L2: reload passes are speculation too, and they fan out hard.
         adq_reloads_shed_->Inc();
       } else {
-        ReloadAdqs(s, q.template_id, q.tables_written, plan);
+        planner_.ReloadAdqs(s.core, qt, adm.tables_written(), now, sink);
       }
     }
   }
-  if (removed_self) ClearSatisfiedOthers(q.template_id, &s);
+  if (removed != 0) ClearSatisfiedOthers(removed, &s);
 }
 
 void ConcurrentApollo::OnPredictionCompleted(Session& s,
@@ -1064,18 +831,12 @@ void ConcurrentApollo::OnPredictionCompleted(Session& s,
                                              int depth) {
   if (!config_.apollo.enable_prediction) return;
   PredictionPlan plan;
-  PredictionPlan* collector = config_.batch_wan ? &plan : nullptr;
   {
     auto lock = LockLearn(static_cast<uint64_t>(s.core.id));
     std::lock_guard<std::mutex> slock(s.mu);
-    s.core.recent[template_id] = {std::move(result), NowUs()};
-    if (!config_.apollo.enable_pipelining) return;
-    if (depth + 1 > config_.apollo.max_pipeline_depth) return;
-    std::vector<core::Fdq*> ready = MarkReadyDependency(s.core, template_id);
-    for (core::Fdq* f : ready) {
-      TryPredict(s, f, template_id, depth + 1, collector,
-                 /*pending_fresh=*/0);
-    }
+    PlanSink sink(this, &s, config_.batch_wan ? &plan : nullptr);
+    planner_.OnPredictionCompleted(s.core, template_id, std::move(result),
+                                   depth, NowUs(), sink);
   }
   if (!plan.items.empty()) IssuePredictionPlan(s, std::move(plan.items));
 }
@@ -1089,168 +850,14 @@ void ConcurrentApollo::ClearSatisfiedOthers(uint64_t fdq_id, Session* self) {
   }
 }
 
-std::vector<core::Fdq*> ConcurrentApollo::FindNewFdqs(
-    core::ClientSession& session, uint64_t qt) {
-  std::vector<core::Fdq*> out;
-  auto related = session.stream.primary().Successors(qt, config_.apollo.tau);
-  std::vector<uint64_t> candidates;
-  candidates.reserve(related.size() + 1);
-  for (const auto& [id, _] : related) candidates.push_back(id);
-  candidates.push_back(qt);
-
-  for (uint64_t id : candidates) {
-    if (deps_.Contains(id)) continue;  // already_seen_deps
-    const core::TemplateMeta* meta = templates_.Get(id);
-    if (meta == nullptr || !meta->read_only) continue;
-    auto sources = mapper_.GetSources(id, meta->num_placeholders);
-    if (!sources.complete) continue;
-
-    std::vector<core::SourceRef> chosen;
-    chosen.reserve(sources.per_param.size());
-    for (const auto& options : sources.per_param) {
-      // Prefer a source that is already a known FDQ/ADQ (deepens
-      // pipelines); otherwise take the first confirmed mapping.
-      const core::SourceRef* pick = &options.front();
-      for (const auto& opt : options) {
-        const core::Fdq* src_fdq = deps_.Get(opt.src);
-        if (src_fdq != nullptr && !src_fdq->invalid) {
-          pick = &opt;
-          break;
-        }
-      }
-      chosen.push_back(*pick);
-    }
-    core::Fdq* f = deps_.Add(id, std::move(chosen));
-    c_.fdqs_discovered->Inc();
-    out.push_back(f);
-  }
-  return out;
-}
-
-std::vector<core::Fdq*> ConcurrentApollo::MarkReadyDependency(
-    core::ClientSession& session, uint64_t qt) {
-  std::vector<core::Fdq*> ready;
-  for (core::Fdq* f : deps_.DependentsOf(qt)) {
-    if (f->invalid) continue;
-    auto& sat = session.satisfied[f->id];
-    sat.insert(qt);
-    if (sat.size() >= f->deps.size()) {
-      ready.push_back(f);
-      sat.clear();  // reset: must be satisfied again next time
-    }
-  }
-  return ready;
-}
-
-bool ConcurrentApollo::DepsFresh(const core::ClientSession& session,
-                                 const core::Fdq& f,
-                                 uint64_t pending_fresh) const {
-  const util::SimTime now = NowUs();
-  for (uint64_t dep : f.deps) {
-    if (dep == pending_fresh) continue;  // result lands on this round trip
-    auto it = session.recent.find(dep);
-    if (it == session.recent.end() || it->second.result == nullptr) {
-      return false;
-    }
-    if (it->second.time + config_.apollo.recent_result_ttl < now) {
-      return false;
-    }
-  }
-  return true;
-}
-
-void ConcurrentApollo::TryPredict(Session& s, core::Fdq* f, uint64_t trigger,
-                                  int depth, PredictionPlan* plan,
-                                  uint64_t pending_fresh) {
-  if (f->invalid) return;
-  if (plan != nullptr && pending_fresh != 0) {
-    // Source rows that must come from the trigger's own (pending) result
-    // are not here yet: park the whole FDQ for the post-pass, which
-    // re-runs this decision with `recent` filled — the same state the
-    // unbatched path's post-completion pass would see.
-    for (const core::SourceRef& src : f->sources) {
-      if (src.src == pending_fresh) {
-        plan->deferred.push_back(f);
-        return;
-      }
-    }
-  }
-  core::ClientSession& session = s.core;
-  const core::TemplateMeta* meta = templates_.Get(f->id);
-  if (meta == nullptr) return;
-
-  if (config_.apollo.enable_freshness_check &&
-      !FreshnessAllows(session, *f, trigger, pending_fresh)) {
-    c_.predictions_skipped->Inc();
-    return;
-  }
-
-  if (brownout_ != nullptr && BrownoutVetoesPrediction(s, f, trigger)) {
-    return;
-  }
-
-  // Confidence of this prediction — the observed probability the client
-  // issues f within delta-t of the trigger — rides into the cache entry
-  // so cost-aware eviction can weigh it (DESIGN.md §13). TryPredict runs
-  // under the session's learn shard, so reading the transition graph here
-  // is safe.
-  const double probability =
-      session.stream.primary().TransitionProbability(trigger, f->id);
-
-  // One prediction per source row (bounded fan-out), row r of every source
-  // feeding fan-out instance r.
-  const util::SimTime now = NowUs();
-  std::string sql;  // instantiation buffer, reused across fan-out rows
-  for (int row = 0; row < config_.apollo.max_fanout_rows; ++row) {
-    std::vector<common::Value> params(f->sources.size());
-    bool instantiable = true;
-    for (size_t p = 0; p < f->sources.size(); ++p) {
-      const core::SourceRef& src = f->sources[p];
-      auto it = session.recent.find(src.src);
-      if (it == session.recent.end() || it->second.result == nullptr ||
-          it->second.time + config_.apollo.recent_result_ttl < now) {
-        instantiable = false;
-        break;
-      }
-      const common::ResultSet& rs = *it->second.result;
-      if (static_cast<size_t>(row) >= rs.num_rows() ||
-          static_cast<size_t>(src.col) >= rs.num_columns()) {
-        instantiable = false;
-        break;
-      }
-      params[p] = rs.At(static_cast<size_t>(row),
-                        static_cast<size_t>(src.col));
-    }
-    if (!instantiable) {
-      if (row == 0) c_.predictions_skipped->Inc();
-      break;
-    }
-    auto status = sql::InstantiateTo(meta->template_text, params, &sql);
-    if (!status.ok()) {
-      c_.predictions_skipped->Inc();
-      break;
-    }
-    if (plan != nullptr) {
-      PredictionItem item;
-      item.template_id = f->id;
-      item.sql = sql;
-      item.depth = depth;
-      item.probability = probability;
-      plan->items.push_back(std::move(item));
-    } else {
-      PredictiveExecute(s, f->id, sql, depth, probability);
-    }
-    if (f->sources.empty()) break;  // parameterless: exactly one instance
-  }
-}
-
-bool ConcurrentApollo::BrownoutVetoesPrediction(Session& s, core::Fdq* f,
-                                                uint64_t trigger) {
+bool ConcurrentApollo::BrownoutVetoesPrediction(
+    const core::ClientSession& session, const core::Fdq& f,
+    uint64_t trigger) {
   if (!brownout_->AllowSpeculation()) {
     c_.predictions_skipped->Inc();
     if (obs_->trace.enabled()) {
       obs_->trace.Record(obs::TraceEventType::kPredictionSkipped,
-                         static_cast<int>(s.core.id), f->id,
+                         static_cast<int>(session.id), f.id,
                          obs::SkipReason::kOverload);
     }
     return true;
@@ -1259,8 +866,8 @@ bool ConcurrentApollo::BrownoutVetoesPrediction(Session& s, core::Fdq* f,
   // f after the trigger (transition probability, floored by f's overall
   // popularity so cold graphs still rank) times the remote round trip a
   // hit would save.
-  const core::TemplateMeta* meta = templates_.Get(f->id);
-  double p = s.core.stream.primary().TransitionProbability(trigger, f->id);
+  const core::TemplateMeta* meta = templates_.Get(f.id);
+  double p = session.stream.primary().TransitionProbability(trigger, f.id);
   if (meta != nullptr) {
     const uint64_t total =
         std::max<uint64_t>(1, templates_.total_observations());
@@ -1270,17 +877,14 @@ bool ConcurrentApollo::BrownoutVetoesPrediction(Session& s, core::Fdq* f,
         static_cast<double>(total);
     p = std::max(p, popularity);
   }
-  const double cost_us = (meta != nullptr && meta->mean_exec_us > 0)
-                             ? meta->mean_exec_us.load()
-                             : kDefaultRuntimeUs;
-  const double utility_us = p * cost_us;
+  const double utility_us = p * planner_.MeanExecUs(f.id);
   brownout_->RecordUtility(utility_us);
   if (brownout_->ShouldShedPrediction(utility_us)) {
     predictions_shed_utility_->Inc();
     c_.predictions_skipped->Inc();
     if (obs_->trace.enabled()) {
       obs_->trace.Record(obs::TraceEventType::kPredictionSkipped,
-                         static_cast<int>(s.core.id), f->id,
+                         static_cast<int>(session.id), f.id,
                          obs::SkipReason::kLowUtility);
     }
     return true;
@@ -1288,236 +892,33 @@ bool ConcurrentApollo::BrownoutVetoesPrediction(Session& s, core::Fdq* f,
   return false;
 }
 
-double ConcurrentApollo::EstimateRuntimeUs(
-    const core::ClientSession& session, const core::Fdq& f,
-    std::unordered_set<uint64_t>& visiting, uint64_t pending_fresh) const {
-  if (!visiting.insert(f.id).second) return 0.0;  // dependency loop
-  const core::TemplateMeta* meta = templates_.Get(f.id);
-  double own = (meta != nullptr && meta->mean_exec_us > 0)
-                   ? meta->mean_exec_us.load()
-                   : kDefaultRuntimeUs;
-  const util::SimTime now = NowUs();
-  double dep_max = 0.0;
-  for (uint64_t dep : f.deps) {
-    if (dep == pending_fresh) continue;  // fresh on this round trip
-    auto it = session.recent.find(dep);
-    if (it != session.recent.end() && it->second.result != nullptr &&
-        it->second.time + config_.apollo.recent_result_ttl >= now) {
-      continue;  // fresh input: contributes nothing
-    }
-    const core::Fdq* d = deps_.Get(dep);
-    double est;
-    if (d != nullptr && !d->invalid) {
-      est = EstimateRuntimeUs(session, *d, visiting, pending_fresh);
-    } else {
-      const core::TemplateMeta* dm = templates_.Get(dep);
-      est = (dm != nullptr && dm->mean_exec_us > 0)
-                ? dm->mean_exec_us.load()
-                : kDefaultRuntimeUs;
-    }
-    dep_max = std::max(dep_max, est);
-  }
-  visiting.erase(f.id);
-  return own + dep_max;
-}
-
-void ConcurrentApollo::CollectReadTables(
-    const core::Fdq& f, std::unordered_set<std::string>* tables) const {
-  std::vector<uint64_t> frontier = {f.id};
-  std::unordered_set<uint64_t> visited;
-  while (!frontier.empty()) {
-    uint64_t id = frontier.back();
-    frontier.pop_back();
-    if (!visited.insert(id).second) continue;
-    const core::TemplateMeta* meta = templates_.Get(id);
-    if (meta != nullptr) {
-      for (const auto& t : meta->tables_read) tables->insert(t);
-    }
-    const core::Fdq* node = deps_.Get(id);
-    if (node != nullptr) {
-      for (uint64_t dep : node->deps) frontier.push_back(dep);
-    }
-  }
-}
-
-bool ConcurrentApollo::FreshnessAllows(core::ClientSession& session,
-                                       const core::Fdq& f,
-                                       uint64_t trigger,
-                                       uint64_t pending_fresh) {
-  std::unordered_set<uint64_t> visiting;
-  double est_us = EstimateRuntimeUs(session, f, visiting, pending_fresh);
-  const core::TransitionGraph& graph = session.stream.GraphCovering(
-      static_cast<util::SimDuration>(est_us));
-
-  std::unordered_set<std::string> read_tables;
-  CollectReadTables(f, &read_tables);
-
-  double invalidation_mass = graph.SuccessorProbabilityMass(
-      trigger, [&](uint64_t succ) {
-        const core::TemplateMeta* meta = templates_.Get(succ);
-        if (meta == nullptr || meta->read_only) return false;
-        for (const auto& t : meta->tables_written) {
-          if (read_tables.count(t) > 0) return true;
-        }
-        return false;
-      });
-  return invalidation_mass < config_.apollo.tau;
-}
-
-void ConcurrentApollo::ReloadAdqs(
-    Session& s, uint64_t write_template,
-    const std::vector<std::string>& tables_written, PredictionPlan* plan) {
-  core::ClientSession& session = s.core;
-  const uint64_t total =
-      std::max<uint64_t>(1, templates_.total_observations());
-
-  for (const core::Fdq* f : deps_.Adqs()) {
-    const core::TemplateMeta* meta = templates_.Get(f->id);
-    if (meta == nullptr) continue;
-
-    // Only hierarchies whose data was just written need reloading.
-    std::unordered_set<std::string> read_tables;
-    CollectReadTables(*f, &read_tables);
-    bool affected = false;
-    for (const auto& t : tables_written) {
-      if (read_tables.count(t) > 0) {
-        affected = true;
-        break;
-      }
-    }
-    if (!affected) continue;
-
-    // cost(Qt) = P(Qt) * mean_rt(Qt)  [Section 3.4.2].
-    double p = static_cast<double>(meta->observations) /
-               static_cast<double>(total);
-    double cost = p * meta->mean_exec_us / 1000.0;
-    if (cost < config_.apollo.alpha) continue;
-
-    c_.adq_reloads->Inc();
-    // Execute the hierarchy's roots; pipelining fills in dependents as
-    // their inputs land.
-    std::vector<const core::Fdq*> frontier = {f};
-    std::unordered_set<uint64_t> visited;
-    while (!frontier.empty()) {
-      const core::Fdq* node = frontier.back();
-      frontier.pop_back();
-      if (!visited.insert(node->id).second) continue;
-      if (node->deps.empty()) {
-        TryPredict(s, const_cast<core::Fdq*>(node), write_template,
-                   /*depth=*/0, plan, /*pending_fresh=*/0);
-        continue;
-      }
-      bool all_known = true;
-      for (uint64_t dep : node->deps) {
-        const core::Fdq* d = deps_.Get(dep);
-        if (d == nullptr) {
-          all_known = false;
-          continue;
-        }
-        frontier.push_back(d);
-      }
-      if (!all_known && DepsFresh(session, *node, /*pending_fresh=*/0)) {
-        TryPredict(s, const_cast<core::Fdq*>(node), write_template, 0, plan,
-                   /*pending_fresh=*/0);
-      }
-    }
-  }
-}
-
-void ConcurrentApollo::RecordPredictionIssued(Session& s,
-                                              uint64_t template_id,
-                                              uint64_t n) {
-  // Counter only (no trace event): the runtime's trace ring is sized for
-  // lifecycle-sparse events (brownout levels, deadline misses) that the
-  // overload bench reconstructs from — per-prediction events would evict
-  // them. Parity across transports is checked on counters + cache keys.
-  (void)s;
-  (void)template_id;
-  c_.predictions_issued->Inc(n);
-}
-
-void ConcurrentApollo::PredictiveExecute(Session& s, uint64_t template_id,
-                                         const std::string& sql, int depth,
-                                         double probability) {
+void ConcurrentApollo::PredictiveExecute(Session& s, PredictionItem item) {
   bool accepted = pool_.Submit(
       TaskClass::kPredictive, static_cast<uint64_t>(s.core.id),
-      [this, &s, template_id, sql, depth, probability] {
-        RunPrediction(s, template_id, sql, depth, probability);
-      });
+      [this, &s, item = std::move(item)] { RunPrediction(s, item); });
   if (!accepted) {
     // Backpressure: the pool's queue is at the watermark — speculation is
     // the first load to go (thread-level shed-predictions-first).
     c_.predictions_shed->Inc();
     return;
   }
-  RecordPredictionIssued(s, template_id);
+  c_.predictions_issued->Inc();
 }
 
-void ConcurrentApollo::RunPrediction(Session& s, uint64_t template_id,
-                                     const std::string& sql, int depth,
-                                     double probability) {
-  auto adm = AdmitQuery(sql);
-  if (!adm.ok() || !adm->read_only()) {
-    c_.predictions_skipped->Inc();
-    return;
-  }
-  const std::string key = adm->canonical_text;
-
-  cache::VersionVector vv_copy;
-  {
-    std::lock_guard<std::mutex> lock(s.mu);
-    vv_copy = s.core.vv;
-  }
-  // Never predictively execute what is already usable from the cache.
-  if (cache_.ContainsCompatible(key, vv_copy, adm->tables_read())) {
-    c_.predictions_skipped->Inc();
-    return;
-  }
-  if (config_.apollo.enable_pubsub_dedup) {
-    bool leader = inflight_.BeginOrSubscribe(
-        key, [this, &s, template_id, depth](
-                 const util::Result<common::ResultSetPtr>& result,
-                 const cache::VersionVector& stamp) {
-          (void)stamp;
-          if (result.ok()) {
-            OnPredictionCompleted(s, template_id, result.value(), depth);
-          }
-        });
-    if (!leader) {
-      c_.predictions_skipped->Inc();
-      return;
-    }
-  }
-
+void ConcurrentApollo::RunPrediction(Session& s, const PredictionItem& item) {
+  cache::VersionVector vv_copy = s.Vv();
+  ArmedPrediction a;
+  if (!ArmPrediction(s, item, vv_copy, &a)) return;
+  const sql::AdmittedQuery& adm = a.adm;
   auto t0 = std::chrono::steady_clock::now();
   RemoteResult rr =
-      adm->preparable()
-          ? gateway_.ExecutePreparedInline(adm->tpl, adm->params,
+      adm.preparable()
+          ? gateway_.ExecutePreparedInline(adm.tpl, adm.params,
                                            /*is_write=*/false,
-                                           adm->tables_read())
-          : gateway_.ExecuteInline(key, /*is_write=*/false,
-                                   adm->tables_read());
-  if (!rr.result.ok()) {
-    inflight_.Complete(key, rr.result, {});
-    return;
-  }
-  const int64_t remote_wall_us = WallMicrosSince(t0);
-  cache::VersionVector stamp;
-  for (const auto& [t, v] : rr.versions) stamp.Set(t, v);
-  {
-    cache::KvCache::PutAttrs attrs;
-    attrs.predicted = true;
-    attrs.template_id = template_id;
-    attrs.put_time_us = NowUs();
-    attrs.miss_cost_us = static_cast<double>(remote_wall_us);
-    attrs.probability = probability;
-    cache_.Put(key, *rr.result, stamp, attrs);
-  }
-  core::TemplateMeta* meta = templates_.Get(template_id);
-  if (meta != nullptr) meta->RecordExecution(remote_wall_us);
-  common::ResultSetPtr rs = *rr.result;
-  inflight_.Complete(key, rr.result, stamp);
-  OnPredictionCompleted(s, template_id, std::move(rs), depth);
+                                           adm.tables_read())
+          : gateway_.ExecuteInline(adm.canonical_text, /*is_write=*/false,
+                                   adm.tables_read());
+  FinishPrediction(s, a, t0, rr);
 }
 
 // ---------------------------------------------------------------------------
@@ -1527,16 +928,25 @@ void ConcurrentApollo::RunPrediction(Session& s, uint64_t template_id,
 bool ConcurrentApollo::ArmPrediction(Session& s, const PredictionItem& item,
                                      const cache::VersionVector& vv_check,
                                      ArmedPrediction* out) {
+  // Skips carry the same reasons (and the depth as aux) as the simulator's
+  // CachingMiddleware::PredictiveExecute.
+  auto skip = [&](obs::SkipReason reason) {
+    c_.predictions_skipped->Inc();
+    if (obs_->trace.enabled()) {
+      obs_->trace.Record(obs::TraceEventType::kPredictionSkipped,
+                         static_cast<int>(s.core.id), item.template_id,
+                         reason, static_cast<uint64_t>(item.depth));
+    }
+    return false;
+  };
   auto adm = AdmitQuery(item.sql);
   if (!adm.ok() || !adm->read_only()) {
-    c_.predictions_skipped->Inc();
-    return false;
+    return skip(obs::SkipReason::kInvalidSql);
   }
   const std::string& key = adm->canonical_text;
   // Never predictively execute what is already usable from the cache.
   if (cache_.ContainsCompatible(key, vv_check, adm->tables_read())) {
-    c_.predictions_skipped->Inc();
-    return false;
+    return skip(obs::SkipReason::kCached);
   }
   if (config_.apollo.enable_pubsub_dedup) {
     bool leader = inflight_.BeginOrSubscribe(
@@ -1548,33 +958,47 @@ bool ConcurrentApollo::ArmPrediction(Session& s, const PredictionItem& item,
             OnPredictionCompleted(s, template_id, result.value(), depth);
           }
         });
-    if (!leader) {
-      c_.predictions_skipped->Inc();
-      return false;
-    }
+    if (!leader) return skip(obs::SkipReason::kInflight);
   }
   out->item = item;
   out->adm = std::move(*adm);
   return true;
 }
 
-std::vector<ConcurrentApollo::PredictionItem> ConcurrentApollo::ArmCoIssued(
-    Session& session, std::vector<PredictionItem> items,
-    const cache::VersionVector& vv_check, std::vector<BatchStatement>* stmts,
-    std::vector<ArmedPrediction>* armed) {
+Future<RemoteResult> ConcurrentApollo::CoIssue(
+    Session& session, BatchStatement trigger, std::vector<PredictionItem> items,
+    const cache::VersionVector& vv_check, Deadline deadline,
+    std::chrono::steady_clock::time_point* t0) {
+  std::vector<BatchStatement> stmts;
+  std::vector<ArmedPrediction> armed;
   std::vector<PredictionItem> overflow;
+  stmts.reserve(items.size() + 1);
+  stmts.push_back(std::move(trigger));
   for (auto& item : items) {
-    if (stmts->size() >= config_.max_batch_statements) {
+    if (stmts.size() >= config_.max_batch_statements) {
       overflow.push_back(std::move(item));
       continue;
     }
-    RecordPredictionIssued(session, item.template_id);
+    c_.predictions_issued->Inc();
     ArmedPrediction a;
     if (!ArmPrediction(session, item, vv_check, &a)) continue;
-    stmts->push_back(StatementFor(a.adm, /*is_write=*/false));
-    armed->push_back(std::move(a));
+    stmts.push_back(StatementFor(a.adm, /*is_write=*/false));
+    armed.push_back(std::move(a));
   }
-  return overflow;
+
+  *t0 = std::chrono::steady_clock::now();
+  std::vector<Future<RemoteResult>> futures =
+      gateway_.ExecuteBatchAsync(&pool_, std::move(stmts), deadline,
+                                 static_cast<uint64_t>(session.core.id));
+  for (size_t i = 0; i < armed.size(); ++i) {
+    auto a = std::make_shared<ArmedPrediction>(std::move(armed[i]));
+    futures[i + 1].Then(
+        [this, &session, a, t0 = *t0](const RemoteResult& rr) {
+          FinishPrediction(session, *a, t0, rr);
+        });
+  }
+  if (!overflow.empty()) IssuePredictionPlan(session, std::move(overflow));
+  return futures[0];
 }
 
 void ConcurrentApollo::FinishPrediction(
@@ -1610,12 +1034,9 @@ void ConcurrentApollo::FinishPrediction(
 void ConcurrentApollo::IssuePredictionPlan(Session& s,
                                            std::vector<PredictionItem> items) {
   if (items.empty()) return;
-  // Snapshot the template ids BEFORE handing the items to the pool: the
-  // worker moves the vector out of `shared`, so touching it after Submit
-  // races with the task and loses issued-counter updates.
-  std::vector<uint64_t> template_ids;
-  template_ids.reserve(items.size());
-  for (const auto& item : items) template_ids.push_back(item.template_id);
+  // Counted BEFORE handing the items to the pool: the worker moves the
+  // vector out of `shared`, so touching it after Submit would race.
+  const size_t n = items.size();
   // shared_ptr: pool tasks require copyable closures.
   auto shared =
       std::make_shared<std::vector<PredictionItem>>(std::move(items));
@@ -1625,21 +1046,15 @@ void ConcurrentApollo::IssuePredictionPlan(Session& s,
   if (!accepted) {
     // The whole plan is shed as one unit: it would have been one queue
     // slot and (mostly) one round trip.
-    c_.predictions_shed->Inc(template_ids.size());
+    c_.predictions_shed->Inc(n);
     return;
   }
-  for (uint64_t template_id : template_ids) {
-    RecordPredictionIssued(s, template_id);
-  }
+  c_.predictions_issued->Inc(n);
 }
 
 void ConcurrentApollo::RunPredictionBatch(Session& s,
                                           std::vector<PredictionItem> items) {
-  cache::VersionVector vv_copy;
-  {
-    std::lock_guard<std::mutex> lock(s.mu);
-    vv_copy = s.core.vv;
-  }
+  cache::VersionVector vv_copy = s.Vv();
   const uint64_t session_key = static_cast<uint64_t>(s.core.id);
   std::vector<BatchStatement> stmts;
   std::vector<ArmedPrediction> armed;

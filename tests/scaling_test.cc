@@ -1,5 +1,7 @@
 // Scaling-rework coverage (DESIGN.md Section 14): parity of the sharded +
-// batched runtime against the single-lock unbatched seed path, gateway
+// batched runtime against the single-lock unbatched seed path, parity of
+// the threaded runtime's prediction-lifecycle trace against the event-loop
+// simulator's (one PredictionPlanner, DESIGN.md Section 17), gateway
 // batch semantics (demultiplexing, per-sub-statement fault injection,
 // deadline fail-fast), and 8-thread contention suites for the learn-shard
 // table and the batched WAN transport (run under TSan via
@@ -9,13 +11,18 @@
 #include <atomic>
 #include <chrono>
 #include <map>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "cache/kv_cache.h"
+#include "core/apollo_middleware.h"
 #include "db/database.h"
+#include "net/remote_database.h"
 #include "rt/concurrent_apollo.h"
 #include "rt/db_gateway.h"
+#include "sim/event_loop.h"
 
 namespace apollo {
 namespace {
@@ -185,6 +192,154 @@ TEST_F(ShardBatchParityTest, ShardedBatchedMatchesSingleLockUnbatched) {
   EXPECT_EQ(seed.cache_keys, next.cache_keys);
   for (const auto& [name, value] : seed.counters) {
     EXPECT_EQ(value, next.counters[name]) << "counter " << name;
+  }
+}
+
+// --------------------------------------------------------------------------
+// Cross-runtime parity: the event-loop simulator and the threaded runtime
+// run the same PredictionPlanner, so one correlated trace replayed through
+// both (single-threaded, drained between queries, one wide delta-t) must
+// leave the same prediction-lifecycle event types in each TraceLog and the
+// same FDQ discovery / invalidation counts.
+// --------------------------------------------------------------------------
+
+class CrossRuntimeParityTest : public ScalingFixture {
+ protected:
+  struct Outcome {
+    std::set<std::string> events;  // "type" or "prediction_skipped:reason"
+    uint64_t fdqs_discovered = 0;
+    uint64_t fdqs_invalidated = 0;
+  };
+
+  static core::ApolloConfig Config() {
+    core::ApolloConfig cfg;
+    cfg.verification_period = 2;
+    cfg.delta_ts = {util::Seconds(60)};
+    return cfg;
+  }
+
+  /// A -> B -> C chains on four sessions with a write to C after every
+  /// round, a parameterless read of C (an ADQ, reloaded on those writes),
+  /// an A-read with no row (nothing to instantiate B from) and a mapping
+  /// that is confirmed, then disproven.
+  static std::vector<std::pair<int, std::string>> Trace() {
+    std::vector<std::pair<int, std::string>> t;
+    auto chain = [&](int client, int i) {
+      t.emplace_back(client, "SELECT A_ID, A_B_ID FROM A WHERE A_ID = " +
+                                 std::to_string(i));
+      t.emplace_back(client, "SELECT B_ID, B_C_ID FROM B WHERE B_ID = " +
+                                 std::to_string(1000 + i));
+      t.emplace_back(client, "SELECT C_V FROM C WHERE C_ID = " +
+                                 std::to_string(2000 + i));
+    };
+    for (int round = 1; round <= 5; ++round) {
+      for (int client = 0; client < 4; ++client) {
+        chain(client, 40 * client + round);
+      }
+      t.emplace_back(1, "SELECT COUNT(*) FROM C");
+      t.emplace_back(0, "UPDATE C SET C_V = " + std::to_string(100 + round) +
+                            " WHERE C_ID = " + std::to_string(2000 + round));
+    }
+    t.emplace_back(2, "SELECT A_ID, A_B_ID FROM A WHERE A_ID = 999");
+    for (int client = 0; client < 4; ++client) chain(client, 40 * client + 7);
+    // E's parameter is first confirmed as A.A_B_ID / B.B_ID, then
+    // contradicted often enough (ParamMapper::kMinViolations) to disprove.
+    for (int i = 11; i <= 16; ++i) {
+      t.emplace_back(3, "SELECT A_ID, A_B_ID FROM A WHERE A_ID = " +
+                            std::to_string(i));
+      t.emplace_back(3, "SELECT B_ID, B_C_ID FROM B WHERE B_ID = " +
+                            std::to_string(1000 + i));
+      t.emplace_back(3, "SELECT A_ID FROM A WHERE A_B_ID = " +
+                            std::to_string(i <= 12 ? 1000 + i : 1100 + i));
+    }
+    return t;
+  }
+
+  static std::set<std::string> LifecycleEvents(const obs::TraceLog& trace) {
+    EXPECT_EQ(trace.dropped(), 0u);
+    std::set<std::string> out;
+    for (const obs::TraceEvent& e : trace.Events()) {
+      switch (e.type) {
+        case obs::TraceEventType::kPredictionSkipped:
+          out.insert(std::string(obs::TraceLog::TypeName(e.type)) + ":" +
+                     obs::TraceLog::ReasonName(e.reason));
+          break;
+        case obs::TraceEventType::kFdqTagged:
+        case obs::TraceEventType::kAdqTagged:
+        case obs::TraceEventType::kAdqRevoked:
+        case obs::TraceEventType::kFdqInvalidated:
+        case obs::TraceEventType::kMappingDisproven:
+        case obs::TraceEventType::kAdqReload:
+          out.insert(obs::TraceLog::TypeName(e.type));
+          break;
+        default:
+          break;  // cache-side lifecycle (issued/cached/hit/...) is sim-only
+      }
+    }
+    return out;
+  }
+
+  Outcome RunSimulator() {
+    db::Database db;
+    SeedDb(&db);
+    sim::EventLoop loop;
+    net::RemoteDbConfig rcfg;
+    rcfg.rtt = sim::LatencyModel::Constant(util::Millis(1));
+    net::RemoteDatabase remote(&loop, &db, rcfg);
+    cache::KvCache cache(32u << 20);
+    obs::Observability obs;
+    obs.trace.set_enabled(true);
+    core::ApolloMiddleware mw(&loop, &remote, &cache, Config(), &obs);
+    for (const auto& [client, sql] : Trace()) {
+      mw.SubmitQuery(client, sql, [](auto) {});
+      loop.Run();
+    }
+    return {LifecycleEvents(obs.trace),
+            obs.metrics.FindCounter("mw.fdqs_discovered")->Value(),
+            obs.metrics.FindCounter("mw.fdqs_invalidated")->Value()};
+  }
+
+  Outcome RunThreaded(bool batch_wan) {
+    db::Database db;
+    SeedDb(&db);
+    rt::ConcurrentApolloConfig cfg;
+    cfg.apollo = Config();
+    cfg.pool.num_threads = 2;
+    cfg.gateway.rtt = std::chrono::microseconds(300);
+    cfg.cache_bytes = 32u << 20;
+    cfg.batch_wan = batch_wan;
+    obs::Observability obs;
+    obs.trace.set_enabled(true);
+    rt::ConcurrentApollo apollo(&db, cfg, &obs);
+    for (const auto& [client, sql] : Trace()) {
+      EXPECT_TRUE(apollo.Execute(client, sql).ok()) << sql;
+      Drain(apollo);
+    }
+    apollo.Shutdown();
+    return {LifecycleEvents(obs.trace),
+            obs.metrics.FindCounter("rt.fdqs_discovered")->Value(),
+            obs.metrics.FindCounter("rt.fdqs_invalidated")->Value()};
+  }
+};
+
+TEST_F(CrossRuntimeParityTest, SameLifecycleEventsAsSimulator) {
+  const Outcome sim = RunSimulator();
+  // The trace must exercise every planner decision the test is about.
+  // (Freshness vetoes need closed transition windows; the wide delta-t
+  // keeps the graphs empty here, so prediction_test and planner_test
+  // cover them with controlled clocks instead.)
+  for (const char* want :
+       {"fdq_tagged", "adq_tagged", "adq_reload", "mapping_disproven",
+        "fdq_invalidated", "prediction_skipped:incomplete_sources"}) {
+    EXPECT_EQ(sim.events.count(want), 1u) << "simulator never emitted " << want;
+  }
+  EXPECT_GT(sim.fdqs_invalidated, 0u);
+  for (bool batch_wan : {false, true}) {
+    SCOPED_TRACE(batch_wan ? "batch_wan" : "unbatched");
+    const Outcome rt = RunThreaded(batch_wan);
+    EXPECT_EQ(sim.events, rt.events);
+    EXPECT_EQ(sim.fdqs_discovered, rt.fdqs_discovered);
+    EXPECT_EQ(sim.fdqs_invalidated, rt.fdqs_invalidated);
   }
 }
 

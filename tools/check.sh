@@ -13,7 +13,8 @@
 # (shared_ptr callback chains racing simulated timers) runs under ASan and
 # UBSan on every check. The thread pass builds into build-tsan/ with
 # -DAPOLLO_SANITIZE=thread and runs the suites that exercise real threads
-# (the threaded runtime, the locked core structures, the database): TSan
+# (the threaded runtime, the locked core structures, the database) plus
+# the prediction planner the runtime's learn shards call into: TSan
 # and ASan cannot share a build, so this is its own mode rather than part
 # of `all`.
 set -euo pipefail
@@ -44,10 +45,10 @@ case "${mode}" in
     cmake -B "${dir}" -S . -DAPOLLO_SANITIZE=thread >/dev/null
     cmake --build "${dir}" -j"$(nproc)" \
       --target concurrency_test rt_test overload_test tinylfu_test \
-               scaling_test cluster_test
-    echo "=== ctest: ${dir} (concurrency + rt + overload + scaling + cluster suites) ==="
+               scaling_test cluster_test planner_test
+    echo "=== ctest: ${dir} (concurrency + rt + overload + scaling + cluster + planner suites) ==="
     ctest --test-dir "${dir}" --output-on-failure -j"$(nproc)" \
-      -R 'Concurrent|Contention|MpmcQueue|Future|ThreadPool|Inflight|Brownout|FairQueue|Overload|TinyLfu|CountMin|Gateway|Batch|Parity|Shard|Cluster|SessionRouter|EdgeLink'
+      -R 'Concurrent|Contention|MpmcQueue|Future|ThreadPool|Inflight|Brownout|FairQueue|Overload|TinyLfu|CountMin|Gateway|Batch|Parity|Shard|Cluster|SessionRouter|EdgeLink|Planner'
     ;;
   --stress|stress)
     # Extended soak of the overload/brownout/fault-injection path: the
