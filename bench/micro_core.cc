@@ -6,6 +6,7 @@
 
 #include <chrono>
 #include <cstdlib>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -507,5 +508,54 @@ BENCHMARK_CAPTURE(BM_ExecuteTpcwHeavy, new_products,
                   std::string("new_products"));
 BENCHMARK_CAPTURE(BM_ExecuteTpcwHeavy, author_like,
                   std::string("author_like"));
+
+// ---------------------------------------------------------------------------
+// Row-store layer: one index probe on the same 50k-item database (a unique
+// PRIMARY key, and an I_SUBJECT_IDX key with ~2k postings), and a full
+// default-scale TPC-W load into a fresh Database.
+// ---------------------------------------------------------------------------
+
+void BM_IndexProbe(benchmark::State& state, std::string which) {
+  db::Table* item = TpcwHeavyDb()->GetTable("ITEM");
+  const bool pk = which == "pk";
+  const int col = item->schema().ColumnIndex(pk ? "I_ID" : "I_SUBJECT");
+  const int idx = item->FindUsableIndex({col});
+  const auto& subjects = workload::TpcwWorkload::Subjects();
+  std::vector<common::Value> keys;
+  for (int k = 0; k < 64; ++k) {
+    keys.push_back(pk ? common::Value::Int(
+                            1 + (k * 7919) % static_cast<int>(item->num_rows()))
+                      : common::Value::Str(subjects[k % subjects.size()]));
+  }
+  std::vector<db::RowId> out;
+  size_t i = 0;
+  uint64_t found = 0;
+  for (auto _ : state) {
+    out.clear();
+    const common::Value* key = &keys[i++ % keys.size()];
+    item->IndexLookup(idx, &key, &out);
+    found += out.size();
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.counters["rows"] = benchmark::Counter(
+      static_cast<double>(found), benchmark::Counter::kAvgIterations);
+}
+BENCHMARK_CAPTURE(BM_IndexProbe, pk, std::string("pk"));
+BENCHMARK_CAPTURE(BM_IndexProbe, subject, std::string("subject"));
+
+void BM_TpcwLoad(benchmark::State& state) {
+  for (auto _ : state) {
+    auto db = std::make_unique<db::Database>();
+    workload::TpcwWorkload w;  // default scale and seed
+    if (!w.Setup(db.get()).ok()) {
+      state.SkipWithError("TPC-W setup failed");
+      return;
+    }
+    state.PauseTiming();
+    db.reset();
+    state.ResumeTiming();
+  }
+}
+BENCHMARK(BM_TpcwLoad)->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -33,11 +33,12 @@ std::vector<std::string> Catalog::TableNames() const {
 size_t Catalog::ApproximateDataBytes() const {
   size_t total = 0;
   for (const auto& [_, table] : tables_) {
+    const size_t columns = table->schema().num_columns();
     for (size_t i = 0; i < table->NumSlots(); ++i) {
-      if (!table->IsLive(static_cast<RowId>(i))) continue;
-      for (const auto& v : table->At(static_cast<RowId>(i))) {
-        total += v.ByteSize();
-      }
+      const RowId id = static_cast<RowId>(i);
+      if (!table->IsLive(id)) continue;
+      const common::Value* row = table->At(id);
+      for (size_t c = 0; c < columns; ++c) total += row[c].ByteSize();
     }
   }
   return total;

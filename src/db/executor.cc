@@ -548,16 +548,23 @@ struct EqKey {
   int value_node;  // literal, placeholder or bound column-ref expression
 };
 
-/// Copies the values of nodes srcs[0, n) (evaluated over `tuple`) into
-/// `key`. Returns false on an evaluation error.
+/// A key of borrowed values: part i points at a row cell, literal or bound
+/// parameter, or at scratch[i] when it had to be computed.
+struct BorrowedKey {
+  std::vector<const Value*> parts;
+  std::vector<Value> scratch;
+};
+
+/// Points `key` at the values of nodes srcs[0, n) evaluated over `tuple`.
+/// Returns false on an evaluation error.
 bool BuildKey(ExprTable& exprs, const int* srcs, size_t n, const RowId* tuple,
-              std::vector<Value>* key) {
-  key->resize(n);
+              BorrowedKey* key) {
+  key->parts.resize(n);
+  key->scratch.resize(n);
   for (size_t i = 0; i < n; ++i) {
-    Value* slot = &(*key)[i];
-    const Value* v = exprs.Eval(exprs.node(srcs[i]), tuple, slot);
+    const Value* v = exprs.Eval(exprs.node(srcs[i]), tuple, &key->scratch[i]);
     if (v == nullptr) return false;
-    if (v != slot) *slot = *v;
+    key->parts[i] = v;
   }
   return true;
 }
@@ -838,7 +845,7 @@ class SelectRunner {
           listed = false;  // unbound placeholder: surface via the scan path
           break;
         }
-        table->IndexLookup(plan.in_index, probe_buf_, &cands);
+        table->IndexLookup(plan.in_index, probe_buf_.parts.data(), &cands);
       }
       if (listed) {
         std::sort(cands.begin(), cands.end());
@@ -853,7 +860,7 @@ class SelectRunner {
                     tuple_.data(), &probe_buf_)) {
         return false;
       }
-      table->IndexLookup(plan.index, probe_buf_, &cands);
+      table->IndexLookup(plan.index, probe_buf_.parts.data(), &cands);
       rows_examined_ += cands.size();
       listed = true;
     }
@@ -944,7 +951,7 @@ class SelectRunner {
       if (!BuildKey(exprs_, &plan.semi_probe, 1, tmp.data(), &probe_buf_)) {
         return false;
       }
-      table->IndexLookup(plan.semi_index, probe_buf_, out);
+      table->IndexLookup(plan.semi_index, probe_buf_.parts.data(), out);
     }
     std::sort(out->begin(), out->end());
     out->erase(std::unique(out->begin(), out->end()), out->end());
@@ -1380,7 +1387,7 @@ class SelectRunner {
   std::vector<Conjunct> conjuncts_;
   std::vector<StepPlan> step_plans_;
   Tuple tuple_;                        // the join's current tuple
-  std::vector<Value> probe_buf_;       // reused index-probe key buffer
+  BorrowedKey probe_buf_;              // reused index-probe key
   std::vector<std::vector<RowId>> cand_buf_;  // per-step candidate buffers
   uint64_t rows_examined_ = 0;
 };
@@ -1441,11 +1448,11 @@ Result<std::vector<RowId>> MatchRows(Catalog* catalog,
           }
         }
       }
-      std::vector<Value> probe;
+      BorrowedKey probe;
       if (!BuildKey(exprs, srcs.data(), srcs.size(), tuple, &probe)) {
         return exprs.error();
       }
-      table->IndexLookup(idx, probe, &candidates);
+      table->IndexLookup(idx, probe.parts.data(), &candidates);
       used_index = true;
     }
   }
@@ -1542,11 +1549,16 @@ Result<ResultSetPtr> RunUpdate(Catalog* catalog, const sql::UpdateStmt& upd,
     col_indexes.push_back(pos);
     value_nodes.push_back(exprs.Add(*expr));
   }
-  std::vector<Value> new_values;
+  BorrowedKey computed;
+  std::vector<Value> new_values(value_nodes.size());
   for (RowId id : *matched) {
     if (!BuildKey(exprs, value_nodes.data(), value_nodes.size(), &id,
-                  &new_values)) {
+                  &computed)) {
       return exprs.error();
+    }
+    // Copied before the write: a value may borrow a cell of this row.
+    for (size_t i = 0; i < new_values.size(); ++i) {
+      new_values[i] = *computed.parts[i];
     }
     table->UpdateRow(id, col_indexes, new_values);
   }

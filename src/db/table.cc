@@ -1,13 +1,134 @@
 #include "db/table.h"
 
 #include <algorithm>
+#include <new>
 
 #include "util/hash.h"
 
 namespace apollo::db {
 
-Table::Table(Schema schema) : schema_(std::move(schema)) {
-  index_maps_.resize(schema_.indexes().size());
+namespace {
+
+using common::Value;
+
+/// Value equality (Compare() == 0) with the same-type INT and STRING cases
+/// inline.
+inline bool SameValue(const Value& a, const Value& b) {
+  if (a.is_int() && b.is_int()) return a.AsInt() == b.AsInt();
+  if (a.is_string() && b.is_string()) return a.AsString() == b.AsString();
+  return a.Compare(b) == 0;
+}
+
+/// Coerces a numeric value to the declared column type where loss-free.
+void CoerceNumeric(common::ValueType want, Value* v) {
+  if (want == common::ValueType::kDouble && v->is_int()) {
+    *v = Value::Double(static_cast<double>(v->AsInt()));
+  } else if (want == common::ValueType::kInt && v->is_double()) {
+    *v = Value::Int(static_cast<int64_t>(v->AsDoubleRaw()));
+  }
+}
+
+}  // namespace
+
+// ---------------------------------------------------------------------------
+// FlatIndex
+// ---------------------------------------------------------------------------
+
+size_t Table::FlatIndex::Probe(uint64_t key) const {
+  const size_t mask = slots_.size() - 1;
+  for (size_t i = key & mask;; i = (i + 1) & mask) {
+    if (slots_[i].ref == kFree || slots_[i].key == key) return i;
+  }
+}
+
+void Table::FlatIndex::Grow() {
+  // Sized for the keys that still have rows, at most half full; keys whose
+  // rows all left are dropped here.
+  size_t cap = 16;
+  while (cap < 2 * (keys_ + 1)) cap *= 2;
+  std::vector<Slot> old(cap);
+  old.swap(slots_);
+  for (const Slot& s : old) {
+    if (s.ref == kFree || s.count == 0) continue;
+    slots_[Probe(s.key)] = s;
+  }
+  used_ = keys_;
+}
+
+void Table::FlatIndex::Insert(uint64_t key, RowId id) {
+  if (slots_.empty()) Grow();
+  Slot* s = &slots_[Probe(key)];
+  if (s->ref == kFree) {
+    if ((used_ + 1) * 4 > slots_.size() * 3) {
+      Grow();
+      s = &slots_[Probe(key)];
+    }
+    ++used_;
+    s->key = key;
+  }
+  switch (s->count) {
+    case 0:
+      ++keys_;
+      s->ref = id;
+      break;
+    case 1: {
+      uint32_t p;
+      if (free_postings_.empty()) {
+        p = static_cast<uint32_t>(postings_.size());
+        postings_.emplace_back();
+      } else {
+        p = free_postings_.back();
+        free_postings_.pop_back();
+      }
+      postings_[p] = {s->ref, id};
+      s->ref = p;
+      break;
+    }
+    default:
+      postings_[s->ref].push_back(id);
+  }
+  ++s->count;
+}
+
+void Table::FlatIndex::Erase(uint64_t key, RowId id) {
+  if (slots_.empty()) return;
+  Slot* s = &slots_[Probe(key)];
+  if (s->count == 0) return;  // absent, or its rows all left
+  if (s->count == 1) {
+    if (s->ref != id) return;
+    s->count = 0;
+    s->ref = 0;
+    --keys_;
+    return;
+  }
+  std::vector<RowId>& list = postings_[s->ref];
+  // First match newest-first; ids are unique within a key, so this only
+  // decides where the search starts.
+  auto it = std::find(list.rbegin(), list.rend(), id);
+  if (it == list.rend()) return;
+  list.erase(std::next(it).base());
+  if (--s->count == 1) {
+    free_postings_.push_back(s->ref);
+    s->ref = list[0];
+    std::vector<RowId>().swap(list);
+  }
+}
+
+std::span<const RowId> Table::FlatIndex::Find(uint64_t key) const {
+  if (slots_.empty()) return {};
+  const Slot& s = slots_[Probe(key)];
+  if (s.count == 0) return {};
+  if (s.count == 1) return {&s.ref, 1};
+  return {postings_[s.ref].data(), s.count};
+}
+
+// ---------------------------------------------------------------------------
+// Table
+// ---------------------------------------------------------------------------
+
+Table::Table(Schema schema)
+    : schema_(std::move(schema)), num_columns_(schema_.num_columns()) {
+  indexes_.resize(schema_.indexes().size());
   for (const auto& def : schema_.indexes()) {
     std::vector<int> positions;
     for (const auto& col : def.columns) {
@@ -17,13 +138,15 @@ Table::Table(Schema schema) : schema_(std::move(schema)) {
   }
 }
 
-uint64_t Table::KeyHash(const std::vector<common::Value>& key) {
-  uint64_t h = 0x12345;
-  for (const auto& v : key) h = util::HashCombine(h, v.Hash());
-  return h;
+Table::~Table() {
+  for (size_t i = 0; i < NumSlots(); ++i) {
+    Value* row = MutableRow(static_cast<RowId>(i));
+    for (size_t c = 0; c < num_columns_; ++c) row[c].~Value();
+  }
+  for (Value* chunk : chunks_) ::operator delete(chunk);
 }
 
-uint64_t Table::IndexKeyHash(int idx, const common::Row& row) const {
+uint64_t Table::IndexKeyHash(int idx, const Value* row) const {
   uint64_t h = 0x12345;
   for (int pos : index_col_positions_[idx]) {
     h = util::HashCombine(h, row[pos].Hash());
@@ -32,43 +155,45 @@ uint64_t Table::IndexKeyHash(int idx, const common::Row& row) const {
 }
 
 util::Status Table::Insert(common::Row row) {
-  if (row.size() != schema_.num_columns()) {
+  if (row.size() != num_columns_) {
     return util::Status::InvalidArgument(
         "row arity mismatch for table " + schema_.table_name() + ": got " +
         std::to_string(row.size()) + ", want " +
-        std::to_string(schema_.num_columns()));
+        std::to_string(num_columns_));
   }
-  // Coerce numeric values to declared column type.
   for (size_t i = 0; i < row.size(); ++i) {
     const auto want = schema_.columns()[i].type;
     auto& v = row[i];
     if (v.is_null()) continue;
-    if (want == common::ValueType::kDouble && v.is_int()) {
-      v = common::Value::Double(static_cast<double>(v.AsInt()));
-    } else if (want == common::ValueType::kInt && v.is_double()) {
-      v = common::Value::Int(static_cast<int64_t>(v.AsDoubleRaw()));
-    } else if (want != v.type()) {
+    CoerceNumeric(want, &v);
+    if (want != v.type()) {
       return util::Status::TypeError(
           "type mismatch for column " + schema_.columns()[i].name +
           " of table " + schema_.table_name());
     }
   }
-  RowId id = static_cast<RowId>(rows_.size());
-  rows_.push_back(std::move(row));
-  live_.push_back(true);
+  const RowId id = static_cast<RowId>(live_.size());
+  if ((id & (kChunkRows - 1)) == 0) {
+    chunks_.push_back(static_cast<Value*>(
+        ::operator new(kChunkRows * num_columns_ * sizeof(Value))));
+  }
+  Value* cells = MutableRow(id);
+  for (size_t c = 0; c < num_columns_; ++c) {
+    new (cells + c) Value(std::move(row[c]));
+  }
+  live_.push_back(1);
   ++live_count_;
-  for (size_t idx = 0; idx < index_maps_.size(); ++idx) {
-    index_maps_[idx].emplace(IndexKeyHash(static_cast<int>(idx), rows_[id]),
-                             id);
+  for (size_t idx = 0; idx < indexes_.size(); ++idx) {
+    indexes_[idx].Insert(IndexKeyHash(static_cast<int>(idx), cells), id);
   }
   return util::Status::OK();
 }
 
 void Table::UpdateRow(RowId id, const std::vector<int>& col_indexes,
-                      const std::vector<common::Value>& new_values) {
-  // Unlink from indexes whose columns change.
-  std::vector<bool> index_touched(index_maps_.size(), false);
-  for (size_t idx = 0; idx < index_maps_.size(); ++idx) {
+                      const std::vector<Value>& new_values) {
+  // Unlink from indexes whose columns change; relink after the write.
+  std::vector<bool> index_touched(indexes_.size(), false);
+  for (size_t idx = 0; idx < indexes_.size(); ++idx) {
     for (int pos : index_col_positions_[idx]) {
       if (std::find(col_indexes.begin(), col_indexes.end(), pos) !=
           col_indexes.end()) {
@@ -77,51 +202,31 @@ void Table::UpdateRow(RowId id, const std::vector<int>& col_indexes,
       }
     }
   }
-  for (size_t idx = 0; idx < index_maps_.size(); ++idx) {
+  Value* row = MutableRow(id);
+  for (size_t idx = 0; idx < indexes_.size(); ++idx) {
     if (!index_touched[idx]) continue;
-    auto range =
-        index_maps_[idx].equal_range(IndexKeyHash(static_cast<int>(idx),
-                                                  rows_[id]));
-    for (auto it = range.first; it != range.second; ++it) {
-      if (it->second == id) {
-        index_maps_[idx].erase(it);
-        break;
-      }
-    }
+    indexes_[idx].Erase(IndexKeyHash(static_cast<int>(idx), row), id);
   }
   for (size_t i = 0; i < col_indexes.size(); ++i) {
-    auto& v = rows_[id][col_indexes[i]];
-    common::Value nv = new_values[i];
-    const auto want = schema_.columns()[col_indexes[i]].type;
+    Value nv = new_values[i];
     if (!nv.is_null()) {
-      if (want == common::ValueType::kDouble && nv.is_int()) {
-        nv = common::Value::Double(static_cast<double>(nv.AsInt()));
-      } else if (want == common::ValueType::kInt && nv.is_double()) {
-        nv = common::Value::Int(static_cast<int64_t>(nv.AsDoubleRaw()));
-      }
+      CoerceNumeric(schema_.columns()[col_indexes[i]].type, &nv);
     }
-    v = std::move(nv);
+    row[col_indexes[i]] = std::move(nv);
   }
-  for (size_t idx = 0; idx < index_maps_.size(); ++idx) {
+  for (size_t idx = 0; idx < indexes_.size(); ++idx) {
     if (!index_touched[idx]) continue;
-    index_maps_[idx].emplace(IndexKeyHash(static_cast<int>(idx), rows_[id]),
-                             id);
+    indexes_[idx].Insert(IndexKeyHash(static_cast<int>(idx), row), id);
   }
 }
 
 void Table::DeleteRow(RowId id) {
   if (!IsLive(id)) return;
-  for (size_t idx = 0; idx < index_maps_.size(); ++idx) {
-    auto range = index_maps_[idx].equal_range(
-        IndexKeyHash(static_cast<int>(idx), rows_[id]));
-    for (auto it = range.first; it != range.second; ++it) {
-      if (it->second == id) {
-        index_maps_[idx].erase(it);
-        break;
-      }
-    }
+  const Value* row = At(id);
+  for (size_t idx = 0; idx < indexes_.size(); ++idx) {
+    indexes_[idx].Erase(IndexKeyHash(static_cast<int>(idx), row), id);
   }
-  live_[id] = false;
+  live_[id] = 0;
   --live_count_;
 }
 
@@ -146,17 +251,22 @@ int Table::FindUsableIndex(const std::vector<int>& equality_cols) const {
   return best;
 }
 
-void Table::IndexLookup(int idx, const std::vector<common::Value>& key,
+void Table::IndexLookup(int idx, const Value* const* key,
                         std::vector<RowId>* out) const {
-  uint64_t h = KeyHash(key);
-  auto range = index_maps_[idx].equal_range(h);
   const auto& cols = index_col_positions_[idx];
-  for (auto it = range.first; it != range.second; ++it) {
-    RowId id = it->second;
+  uint64_t h = 0x12345;
+  for (size_t i = 0; i < cols.size(); ++i) {
+    h = util::HashCombine(h, key[i]->Hash());
+  }
+  const std::span<const RowId> ids = indexes_[idx].Find(h);
+  // Newest first: postings are kept oldest first.
+  for (auto it = ids.rbegin(); it != ids.rend(); ++it) {
+    const RowId id = *it;
     if (!IsLive(id)) continue;
+    const Value* row = At(id);
     bool match = true;
     for (size_t i = 0; i < cols.size(); ++i) {
-      if (rows_[id][cols[i]] != key[i]) {
+      if (!SameValue(row[cols[i]], *key[i])) {
         match = false;
         break;
       }

@@ -340,7 +340,9 @@ TEST_F(ClusterTest, CrashMidFanOutRetransmitsAfterRejoin) {
   // pending in the sender's outbox (at-least-once survives the crash).
   cl.CrashEdge(2);
   WriteStock(cl, writer, 3, 555);
-  for (int i = 0; i < 10; ++i) cl.PumpOnce();
+  // Pumps until idle (which ignores the dead peer): a fixed number of pumps
+  // could end before the live peer's delivery under CPU load.
+  PumpUntilIdle(cl);
   EXPECT_EQ(cl.FloorOf(2).Get("ITEM"), 0u);
   // Idle deliberately ignores dead peers (a crashed edge would otherwise
   // pin it false forever); the unacked delta survives in the outbox.

@@ -310,6 +310,30 @@ TEST_F(DatabaseTest, RowsExaminedGrowsWithScans) {
   EXPECT_LT(indexed->rows_examined(), scanned->rows_examined());
 }
 
+TEST(DatabaseBytesTest, ApproximateDataBytesCountsLiveCells) {
+  // The cache budget (5% of the DB) is derived from this figure, so it is
+  // pinned exactly: sizeof(Value) per cell of a live row, plus each string
+  // cell's length.
+  Database db;
+  Schema s("B", {{"ID", ValueType::kInt},
+                 {"NAME", ValueType::kString},
+                 {"SCORE", ValueType::kDouble}});
+  s.AddIndex("PRIMARY", {"ID"});
+  ASSERT_TRUE(db.CreateTable(std::move(s)).ok());
+  EXPECT_EQ(db.ApproximateDataBytes(), 0u);
+  ASSERT_TRUE(db.Execute("INSERT INTO B (ID, NAME, SCORE) VALUES "
+                         "(1, 'ab', 1.5), (2, 'a longer name', NULL), "
+                         "(3, '', 2)")
+                  .ok());
+  const size_t cell = sizeof(Value);
+  EXPECT_EQ(db.ApproximateDataBytes(), 9 * cell + 2 + 13 + 0);
+  // A tombstoned row stops counting; an update re-measures its string.
+  ASSERT_TRUE(db.Execute("DELETE FROM B WHERE ID = 2").ok());
+  EXPECT_EQ(db.ApproximateDataBytes(), 6 * cell + 2 + 0);
+  ASSERT_TRUE(db.Execute("UPDATE B SET NAME = 'abcdef' WHERE ID = 3").ok());
+  EXPECT_EQ(db.ApproximateDataBytes(), 6 * cell + 2 + 6);
+}
+
 TEST_F(DatabaseTest, StatsAccumulate) {
   auto s0 = db_.stats();
   Exec("SELECT * FROM USERS");
