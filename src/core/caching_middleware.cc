@@ -256,13 +256,8 @@ void CachingMiddleware::RemoteRead(ClientSession& session,
                                    QueryCallback callback, bool publish) {
   const std::string key = adm.canonical_text;
   util::SimTime t0 = loop_->now();
-  // Prepared path when the template round-trips through the parser and all
-  // placeholders are bound; the remote edge then executes the cached
-  // statement without re-parsing. Copies are taken before the lambda
-  // capture moves `adm` (argument evaluation order is unspecified).
-  const bool prepared = adm.preparable();
-  sql::CachedTemplatePtr tpl = adm.tpl;
-  std::vector<common::Value> params = adm.params;
+  // Taken before the lambda capture moves `adm`.
+  sql::BoundStatement stmt = adm.bound();
   auto on_done = [this, &session, adm = std::move(adm), key,
                   callback = std::move(callback), publish,
                   t0](util::Result<common::ResultSetPtr> result,
@@ -290,12 +285,7 @@ void CachingMiddleware::RemoteRead(ClientSession& session,
     FinishRead(session, adm, std::move(rs), /*from_cache=*/false,
                remote_time, std::move(callback));
   };
-  if (prepared) {
-    remote_->ExecutePrepared(std::move(tpl), std::move(params),
-                             std::move(on_done));
-  } else {
-    remote_->Execute(key, std::move(on_done));
-  }
+  remote_->Execute(std::move(stmt), std::move(on_done));
 }
 
 void CachingMiddleware::ExecuteWrite(ClientSession& session,
@@ -311,12 +301,8 @@ void CachingMiddleware::ExecuteWrite(ClientSession& session,
           adm.fingerprint());
   }
   util::SimTime t0 = loop_->now();
-  // Copies before the call: the lambda capture moves `adm`, and function
-  // argument evaluation order is unspecified.
-  const bool prepared = adm.preparable();
-  const std::string sql_text = adm.canonical_text;
-  sql::CachedTemplatePtr tpl = adm.tpl;
-  std::vector<common::Value> params = adm.params;
+  // Taken before the lambda capture moves `adm`.
+  sql::BoundStatement stmt = adm.bound();
   auto on_done = [this, &session, adm = std::move(adm),
                   callback = std::move(callback),
                   t0](util::Result<common::ResultSetPtr> result,
@@ -345,12 +331,7 @@ void CachingMiddleware::ExecuteWrite(ClientSession& session,
     cq.remote_time = remote_time;
     OnQueryCompleted(session, cq);
   };
-  if (prepared) {
-    remote_->ExecutePrepared(std::move(tpl), std::move(params),
-                             std::move(on_done));
-  } else {
-    remote_->Execute(sql_text, std::move(on_done));
-  }
+  remote_->Execute(std::move(stmt), std::move(on_done));
 }
 
 void CachingMiddleware::PredictiveExecute(ClientSession& session,
@@ -404,7 +385,7 @@ void CachingMiddleware::PredictiveExecute(ClientSession& session,
         obs::SkipReason::kNone, static_cast<uint64_t>(depth));
   station_.Submit(
       config_.engine_overhead_per_prediction,
-      [this, &session, template_id, sql, key, depth, probability,
+      [this, &session, template_id, key, depth, probability,
        adm = std::move(*adm)]() mutable {
         util::SimTime t0 = loop_->now();
         auto on_done =
@@ -435,13 +416,8 @@ void CachingMiddleware::PredictiveExecute(ClientSession& session,
               OnPredictionCompleted(session, template_id, std::move(rs),
                                     depth);
             };
-        if (adm.preparable()) {
-          remote_->ExecutePrepared(adm.tpl, std::move(adm.params),
-                                   std::move(on_done),
-                                   /*predictive=*/true);
-        } else {
-          remote_->Execute(sql, std::move(on_done), /*predictive=*/true);
-        }
+        remote_->Execute({std::move(adm.tpl), std::move(adm.params)},
+                         std::move(on_done), /*predictive=*/true);
       });
 }
 

@@ -24,12 +24,7 @@ Table* Database::GetTable(const std::string& name) {
 util::Result<common::ResultSetPtr> Database::Execute(const std::string& sql) {
   auto stmt = sql::Parse(sql);
   if (!stmt.ok()) return stmt.status();
-  return ExecuteStatement(**stmt);
-}
-
-util::Result<common::ResultSetPtr> Database::ExecuteStatement(
-    const sql::Statement& stmt) {
-  return RunStatement(stmt, nullptr);
+  return RunStatement(**stmt, nullptr);
 }
 
 util::Result<common::ResultSetPtr> Database::ExecutePrepared(
@@ -37,12 +32,27 @@ util::Result<common::ResultSetPtr> Database::ExecutePrepared(
   return RunStatement(stmt, &params);
 }
 
+StampedResult Database::ExecuteStamped(const sql::BoundStatement& stmt) {
+  const sql::TemplateInfo& info = stmt.tpl->info;
+  StampedResult out;
+  out.result = RunStatement(
+      *stmt.tpl->statement, &stmt.params,
+      info.read_only ? &info.tables_read : &info.tables_written,
+      &out.versions);
+  return out;
+}
+
 util::Result<common::ResultSetPtr> Database::RunStatement(
-    const sql::Statement& stmt, const std::vector<common::Value>* params) {
+    const sql::Statement& stmt, const std::vector<common::Value>* params,
+    const std::vector<std::string>* stamp_tables,
+    std::unordered_map<std::string, uint64_t>* versions) {
   const bool read_only = stmt.IsReadOnly();
   constexpr auto relaxed = std::memory_order_relaxed;
   if (read_only) {
     std::shared_lock lock(mu_);
+    // Reads stamp before running: an understamp is safe, a stale result
+    // stamped as fresh is not.
+    if (stamp_tables != nullptr) VersionsOfLocked(*stamp_tables, versions);
     auto rs = executor_.Execute(stmt, params);
     if (rs.ok()) {
       // Relaxed counting under the shared lock: exact totals, no unique
@@ -62,6 +72,8 @@ util::Result<common::ResultSetPtr> Database::RunStatement(
     for (const auto& t : stmt.TablesWritten()) {
       ++versions_[util::ToUpperAscii(t)];
     }
+    // Writes stamp after their own bump.
+    if (stamp_tables != nullptr) VersionsOfLocked(*stamp_tables, versions);
   }
   return rs;
 }
@@ -76,12 +88,18 @@ std::unordered_map<std::string, uint64_t> Database::VersionsOf(
     const std::vector<std::string>& tables) const {
   std::shared_lock lock(mu_);
   std::unordered_map<std::string, uint64_t> out;
+  VersionsOfLocked(tables, &out);
+  return out;
+}
+
+void Database::VersionsOfLocked(
+    const std::vector<std::string>& tables,
+    std::unordered_map<std::string, uint64_t>* out) const {
   for (const auto& t : tables) {
     std::string up = util::ToUpperAscii(t);
     auto it = versions_.find(up);
-    out[up] = it == versions_.end() ? 0 : it->second;
+    (*out)[up] = it == versions_.end() ? 0 : it->second;
   }
-  return out;
 }
 
 DatabaseStats Database::stats() const {

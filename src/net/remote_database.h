@@ -2,8 +2,11 @@
 //
 // Wraps a db::Database behind (a) a WAN round trip sampled from a latency
 // distribution and (b) a k-server service station modelling the database
-// machine's worker pool. The query executes for real against the in-memory
-// engine; its simulated service time is derived from the actual rows the
+// machine's worker pool. Each statement arrives bound — a cached template
+// plus its parameters (sql::BoundStatement) — and executes for real against
+// the in-memory engine through db::Database::ExecuteStamped, which also
+// stamps the result with table versions; nothing is parsed at the remote
+// edge. Its simulated service time is derived from the actual rows the
 // executor examined, so expensive queries (joins, aggregations) cost
 // proportionally more simulated time — the property Apollo's
 // cost-prioritized caching exploits.
@@ -94,8 +97,8 @@ struct RemoteDbStats {
 
 class RemoteDatabase {
  public:
-  /// Callback with the execution outcome plus the per-table versions
-  /// observed at the database when the query (de)committed.
+  /// Callback with the execution outcome plus the per-table versions that
+  /// stamp it (empty on failure).
   using Callback = std::function<void(
       util::Result<common::ResultSetPtr>,
       std::unordered_map<std::string, uint64_t> versions)>;
@@ -105,48 +108,15 @@ class RemoteDatabase {
   RemoteDatabase(sim::EventLoop* loop, db::Database* database,
                  RemoteDbConfig config, obs::Observability* obs = nullptr);
 
-  /// Executes `sql` remotely. `predictive` tags prefetch work for stats
-  /// and selects the (smaller) predictive retry budget. The callback
-  /// fires exactly once after outbound hop + queueing + service + return
-  /// hop of simulated time — or once the retry budget is exhausted.
-  void Execute(const std::string& sql, Callback callback,
+  /// Executes a bound statement remotely — the only form a statement
+  /// travels in (the template cache's admission contract), so the remote
+  /// edge never parses text. `predictive` tags prefetch work for stats and
+  /// selects the (smaller) predictive retry budget. The callback fires
+  /// exactly once after outbound hop + queueing + service + return hop of
+  /// simulated time — or once the retry budget is exhausted — with the
+  /// result and the versions db::Database::ExecuteStamped stamped it with.
+  void Execute(sql::BoundStatement stmt, Callback callback,
                bool predictive = false);
-
-  /// Prepared variant: ships a cached template + bound parameters instead
-  /// of SQL text, so the remote edge never re-parses. Same WAN/retry/fault
-  /// model and identical simulated cost as Execute of the instantiated
-  /// text. Requires `tpl->statement` to be non-null.
-  void ExecutePrepared(sql::CachedTemplatePtr tpl,
-                       std::vector<common::Value> params, Callback callback,
-                       bool predictive = false);
-
-  /// One statement of a batched wire envelope: either `sql` (text path)
-  /// or `tpl` + `params` (prepared path).
-  struct BatchItem {
-    std::string sql;
-    sql::CachedTemplatePtr tpl;
-    std::vector<common::Value> params;
-    Callback callback;
-    bool predictive = false;
-  };
-
-  /// Batch wire op (DESIGN.md Section 14): ships every item in ONE wire
-  /// envelope paying a single WAN round trip. Statements execute at the
-  /// remote edge in submission order (a read after a write in the same
-  /// envelope sees the written data) and each item's callback fires with
-  /// its own demultiplexed result. Fault injection is per sub-statement:
-  /// each item draws its own transient-fault decision (fixed draw order,
-  /// so runs stay reproducible), a mid-batch transient fails ONLY the
-  /// affected sub-statements while their batch-mates complete, and the
-  /// envelope's RTT is stretched by the worst latency spike drawn among
-  /// them. The circuit breaker is fed exactly ONCE per envelope (failure
-  /// if any sub-statement hit a transport fault, success otherwise);
-  /// failed sub-statements then retry individually through the
-  /// single-statement path on their own retry budget. An outage window
-  /// bounces the whole envelope (one breaker feed; every item retries
-  /// individually). The envelope schedules no per-attempt timeout —
-  /// batch callers enforce deadlines upstream.
-  void ExecuteBatch(std::vector<BatchItem> items);
 
   /// True while the remote path is degraded: breaker not closed, or a
   /// recent burst of timeouts. Drives shed-predictions-first.
@@ -168,12 +138,7 @@ class RemoteDatabase {
  private:
   /// Retry state for one logical query.
   struct Query {
-    std::string sql;  // empty on the prepared path
-    /// Prepared path: shared immutable template + bound values. When `tpl`
-    /// is set the remote edge executes tpl->statement with `params` and
-    /// never parses text.
-    sql::CachedTemplatePtr tpl;
-    std::vector<common::Value> params;
+    sql::BoundStatement stmt;
     Callback callback;
     bool predictive = false;
     int retries_left = 0;
@@ -189,10 +154,6 @@ class RemoteDatabase {
   bool ClaimAttempt(const QueryPtr& q, int attempt, bool is_response);
   /// Transport-level failure: feeds the breaker and retries or fails.
   void HandleTransportFailure(const QueryPtr& q, util::Status status);
-  /// Retry-or-fail half of HandleTransportFailure, WITHOUT the breaker
-  /// feed. The batch path feeds the breaker once per envelope and then
-  /// routes each failed sub-statement here.
-  void RetryOrFail(const QueryPtr& q, util::Status status);
   /// Delivers the final error to the caller (with error accounting).
   void FinishError(const QueryPtr& q, const util::Status& status);
   void NoteTimeout(util::SimTime now);

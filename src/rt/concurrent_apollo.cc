@@ -23,20 +23,6 @@ cache::KvCacheOptions BuildCacheOptions(const core::ApolloConfig& cfg) {
   opt.window_fraction = cfg.cache_window_fraction;
   return opt;
 }
-
-/// One admitted query as a batch sub-statement (prepared when possible).
-BatchStatement StatementFor(const sql::AdmittedQuery& adm, bool is_write) {
-  BatchStatement st;
-  if (adm.preparable()) {
-    st.tpl = adm.tpl;
-    st.params = adm.params;
-  } else {
-    st.sql = adm.canonical_text;
-  }
-  st.is_write = is_write;
-  st.tables = is_write ? adm.tables_written() : adm.tables_read();
-  return st;
-}
 }  // namespace
 
 /// Planner sink for one rt pass: the brownout veto, then either the
@@ -372,17 +358,16 @@ std::vector<std::unique_lock<std::mutex>> ConcurrentApollo::LockAllLearn() {
 }
 
 bool ConcurrentApollo::Quiescent() {
-  const uint64_t executed_before = pool_.executed();
-  if (pool_.queue_depth() != 0 || gateway_.pending_batches() != 0 ||
-      inflight_.num_inflight() != 0) {
-    return false;
-  }
-  // A completion can be mid-hop between the structures checked above (the
-  // timer popped a batch but hasn't submitted its pool task yet); a short
-  // settle plus an executed-count recheck closes the gap.
-  std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  return pool_.queue_depth() == 0 && gateway_.pending_batches() == 0 &&
-         inflight_.num_inflight() == 0 && pool_.executed() == executed_before;
+  // Work is always counted somewhere: a pool task from Submit until its fn
+  // returns, a gateway batch from ExecuteBatchAsync until its promises are
+  // set, and every hand-off raises the next count before dropping its own.
+  // The reads below are not one atomic snapshot, so work could still slip
+  // from the gateway (read second) into the pool (read first) between
+  // them — but only through a pool submission, which moves submitted().
+  const uint64_t submitted = pool_.submitted();
+  const bool idle = pool_.pending() == 0 && gateway_.pending_batches() == 0 &&
+                    inflight_.num_inflight() == 0;
+  return idle && pool_.submitted() == submitted;
 }
 
 ConcurrentApollo::Session& ConcurrentApollo::SessionFor(
@@ -599,7 +584,7 @@ util::Result<common::ResultSetPtr> ConcurrentApollo::RemoteRead(
     return BatchedRemoteRead(session, adm, publish, deadline);
   }
   auto t0 = std::chrono::steady_clock::now();
-  RemoteResult rr = SendOne(session, adm, /*is_write=*/false, deadline);
+  RemoteResult rr = SendOne(session, adm, deadline);
   const util::SimDuration remote_time = WallMicrosSince(t0);
   auto rs = LandRemoteRead(session, adm, rr, remote_time, publish);
   if (rs.ok()) FinishRead(session, adm, *rs, remote_time);
@@ -608,17 +593,12 @@ util::Result<common::ResultSetPtr> ConcurrentApollo::RemoteRead(
 
 RemoteResult ConcurrentApollo::SendOne(Session& session,
                                       const sql::AdmittedQuery& adm,
-                                      bool is_write, Deadline deadline) {
-  const auto& tables = is_write ? adm.tables_written() : adm.tables_read();
-  const uint64_t session_key = static_cast<uint64_t>(session.core.id);
-  // Preparable admissions ship the cached statement + bound parameters to
-  // the gateway; the SQL text is never re-parsed.
-  return (adm.preparable()
-              ? gateway_.ExecutePreparedAsync(&pool_, adm.tpl, adm.params,
-                                              is_write, tables, deadline,
-                                              session_key)
-              : gateway_.ExecuteAsync(&pool_, adm.canonical_text, is_write,
-                                      tables, deadline, session_key))
+                                      Deadline deadline) {
+  std::vector<sql::BoundStatement> stmts;
+  stmts.push_back(adm.bound());
+  return gateway_
+      .ExecuteBatchAsync(&pool_, std::move(stmts), deadline,
+                         static_cast<uint64_t>(session.core.id))[0]
       .Take();
 }
 
@@ -682,8 +662,8 @@ util::Result<common::ResultSetPtr> ConcurrentApollo::BatchedRemoteRead(
   }
 
   std::chrono::steady_clock::time_point t0;
-  RemoteResult rr = CoIssue(session, StatementFor(adm, /*is_write=*/false),
-                            std::move(plan.items), vv_check, deadline, &t0)
+  RemoteResult rr = CoIssue(session, adm.bound(), std::move(plan.items),
+                            vv_check, deadline, &t0)
                         .Take();
   const util::SimDuration remote_time = WallMicrosSince(t0);
   auto rs = LandRemoteRead(session, adm, rr, remote_time, publish);
@@ -736,7 +716,7 @@ util::Result<common::ResultSetPtr> ConcurrentApollo::ExecuteWrite(
   const uint64_t session_key = static_cast<uint64_t>(session.core.id);
   if (!config_.batch_wan) {
     auto t0 = std::chrono::steady_clock::now();
-    RemoteResult rr = SendOne(session, adm, /*is_write=*/true, deadline);
+    RemoteResult rr = SendOne(session, adm, deadline);
     auto out = LandWrite(session, meta, rr, WallMicrosSince(t0));
     if (out.ok() && config_.apollo.enable_prediction) {
       auto lock = LockLearn(session_key);
@@ -768,8 +748,8 @@ util::Result<common::ResultSetPtr> ConcurrentApollo::ExecuteWrite(
     vv_check.AdvanceTo(t, std::numeric_limits<uint64_t>::max());
   }
   std::chrono::steady_clock::time_point t0;
-  RemoteResult rr = CoIssue(session, StatementFor(adm, /*is_write=*/true),
-                            std::move(plan.items), vv_check, deadline, &t0)
+  RemoteResult rr = CoIssue(session, adm.bound(), std::move(plan.items),
+                            vv_check, deadline, &t0)
                         .Take();
   return LandWrite(session, meta, rr, WallMicrosSince(t0));
 }
@@ -909,15 +889,8 @@ void ConcurrentApollo::RunPrediction(Session& s, const PredictionItem& item) {
   cache::VersionVector vv_copy = s.Vv();
   ArmedPrediction a;
   if (!ArmPrediction(s, item, vv_copy, &a)) return;
-  const sql::AdmittedQuery& adm = a.adm;
   auto t0 = std::chrono::steady_clock::now();
-  RemoteResult rr =
-      adm.preparable()
-          ? gateway_.ExecutePreparedInline(adm.tpl, adm.params,
-                                           /*is_write=*/false,
-                                           adm.tables_read())
-          : gateway_.ExecuteInline(adm.canonical_text, /*is_write=*/false,
-                                   adm.tables_read());
+  RemoteResult rr = gateway_.ExecuteInline(a.adm.bound());
   FinishPrediction(s, a, t0, rr);
 }
 
@@ -966,10 +939,11 @@ bool ConcurrentApollo::ArmPrediction(Session& s, const PredictionItem& item,
 }
 
 Future<RemoteResult> ConcurrentApollo::CoIssue(
-    Session& session, BatchStatement trigger, std::vector<PredictionItem> items,
+    Session& session, sql::BoundStatement trigger,
+    std::vector<PredictionItem> items,
     const cache::VersionVector& vv_check, Deadline deadline,
     std::chrono::steady_clock::time_point* t0) {
-  std::vector<BatchStatement> stmts;
+  std::vector<sql::BoundStatement> stmts;
   std::vector<ArmedPrediction> armed;
   std::vector<PredictionItem> overflow;
   stmts.reserve(items.size() + 1);
@@ -982,7 +956,7 @@ Future<RemoteResult> ConcurrentApollo::CoIssue(
     c_.predictions_issued->Inc();
     ArmedPrediction a;
     if (!ArmPrediction(session, item, vv_check, &a)) continue;
-    stmts.push_back(StatementFor(a.adm, /*is_write=*/false));
+    stmts.push_back(a.adm.bound());
     armed.push_back(std::move(a));
   }
 
@@ -1056,7 +1030,7 @@ void ConcurrentApollo::RunPredictionBatch(Session& s,
                                           std::vector<PredictionItem> items) {
   cache::VersionVector vv_copy = s.Vv();
   const uint64_t session_key = static_cast<uint64_t>(s.core.id);
-  std::vector<BatchStatement> stmts;
+  std::vector<sql::BoundStatement> stmts;
   std::vector<ArmedPrediction> armed;
   auto flush = [&] {
     if (stmts.empty()) return;
@@ -1075,7 +1049,7 @@ void ConcurrentApollo::RunPredictionBatch(Session& s,
   for (const auto& item : items) {
     ArmedPrediction a;
     if (!ArmPrediction(s, item, vv_copy, &a)) continue;
-    stmts.push_back(StatementFor(a.adm, /*is_write=*/false));
+    stmts.push_back(a.adm.bound());
     armed.push_back(std::move(a));
     // Overflowing fan-out goes out as additional, concurrently in-flight
     // round trips rather than being dropped.

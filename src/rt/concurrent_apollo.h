@@ -218,12 +218,12 @@ class ConcurrentApollo {
   BrownoutController* brownout() { return brownout_.get(); }
   const ConcurrentApolloConfig& config() const { return config_; }
 
-  /// True when no deferred work remains anywhere: pool queue empty, no
-  /// WAN batches pending in the gateway, no inflight single-flight
-  /// entries, and the pool's executed-task count unchanged across the
-  /// check. Parity/replay tests poll this between interactions so every
-  /// async completion (and the learning it triggers) lands before the
-  /// next query is issued.
+  /// True when no deferred work remains anywhere: no pool task queued or
+  /// running, no gateway batch unfinished, no inflight single-flight
+  /// entry. Exact, with no settle sleep (see the .cc). Parity/replay tests
+  /// poll this between interactions, with no client call in progress, so
+  /// every async completion (and the learning it triggers) lands before
+  /// the next query is issued.
   bool Quiescent();
 
   /// Microseconds of real time since construction — the runtime's clock,
@@ -326,7 +326,7 @@ class ConcurrentApollo {
   /// One unbatched client statement: a gateway round trip the calling
   /// client thread blocks on.
   RemoteResult SendOne(Session& session, const sql::AdmittedQuery& adm,
-                       bool is_write, Deadline deadline);
+                       Deadline deadline);
   /// Lands a client read's round trip: cache fill, session-vector advance
   /// and (when `publish`) the single-flight outcome. Returns the result
   /// or the trip's error.
@@ -399,7 +399,7 @@ class ConcurrentApollo {
   /// `vv_check`, each counted issued); the rest go out through
   /// IssuePredictionPlan. Returns the trigger's future; `t0` receives the
   /// issue time.
-  Future<RemoteResult> CoIssue(Session& session, BatchStatement trigger,
+  Future<RemoteResult> CoIssue(Session& session, sql::BoundStatement trigger,
                                std::vector<PredictionItem> items,
                                const cache::VersionVector& vv_check,
                                Deadline deadline,

@@ -5,6 +5,17 @@
 
 namespace apollo::rt {
 
+namespace {
+void FailAll(const std::vector<Promise<RemoteResult>>& promises,
+             const util::Status& status) {
+  for (const auto& p : promises) {
+    RemoteResult r;
+    r.result = status;
+    p.Set(std::move(r));
+  }
+}
+}  // namespace
+
 DbGateway::DbGateway(db::Database* db, DbGatewayConfig config,
                      obs::Observability* obs,
                      const std::string& metric_prefix)
@@ -20,87 +31,37 @@ DbGateway::DbGateway(db::Database* db, DbGatewayConfig config,
 
 DbGateway::~DbGateway() { Shutdown(); }
 
-bool DbGateway::AdmitOp(Deadline deadline, RemoteResult* out) {
-  if (deadline != kNoDeadline &&
-      std::chrono::steady_clock::now() + config_.rtt > deadline) {
+bool DbGateway::BudgetExhausted(Deadline deadline) const {
+  return deadline != kNoDeadline &&
+         std::chrono::steady_clock::now() + config_.rtt > deadline;
+}
+
+RemoteResult DbGateway::ExecuteInline(const sql::BoundStatement& stmt,
+                                      Deadline deadline) {
+  if (BudgetExhausted(deadline)) {
     // The remaining budget cannot cover the round trip: cancel before
     // paying it, so overload sheds work instead of executing it late.
-    out->result = util::Status::DeadlineExceeded("query budget exhausted");
-    return false;
+    RemoteResult out;
+    out.result = util::Status::DeadlineExceeded("query budget exhausted");
+    return out;
   }
+  if (config_.rtt.count() > 0) std::this_thread::sleep_for(config_.rtt);
+  return ExecuteNoDelay(stmt);
+}
+
+RemoteResult DbGateway::ExecuteNoDelay(const sql::BoundStatement& stmt) {
   if (config_.fail_every_n > 0) {
     const uint64_t n = op_counter_.fetch_add(1, std::memory_order_relaxed);
     if ((n + 1) % config_.fail_every_n == 0) {
-      // Fault injection: fail AFTER the round trip (the client paid the
-      // latency) but before the database sees the statement, so the op
-      // provably did not run and is safe to retry.
-      if (config_.rtt.count() > 0) std::this_thread::sleep_for(config_.rtt);
-      out->result = util::Status::Unavailable("injected transport fault");
-      return false;
-    }
-  }
-  return true;
-}
-
-RemoteResult DbGateway::ExecuteInline(const std::string& sql, bool is_write,
-                                      const std::vector<std::string>& tables,
-                                      Deadline deadline) {
-  RemoteResult out;
-  if (!AdmitOp(deadline, &out)) return out;
-  if (config_.rtt.count() > 0) std::this_thread::sleep_for(config_.rtt);
-  if (!is_write) {
-    // Snapshot first: an understamp is safe, a stale-as-fresh stamp is not.
-    out.versions = db_->VersionsOf(tables);
-    out.result = db_->Execute(sql);
-    return out;
-  }
-  out.result = db_->Execute(sql);
-  if (out.result.ok()) out.versions = db_->VersionsOf(tables);
-  return out;
-}
-
-RemoteResult DbGateway::ExecutePreparedInline(
-    const sql::CachedTemplatePtr& tpl,
-    const std::vector<common::Value>& params, bool is_write,
-    const std::vector<std::string>& tables, Deadline deadline) {
-  RemoteResult out;
-  if (!AdmitOp(deadline, &out)) return out;
-  if (config_.rtt.count() > 0) std::this_thread::sleep_for(config_.rtt);
-  if (!is_write) {
-    out.versions = db_->VersionsOf(tables);
-    out.result = db_->ExecutePrepared(*tpl->statement, params);
-    return out;
-  }
-  out.result = db_->ExecutePrepared(*tpl->statement, params);
-  if (out.result.ok()) out.versions = db_->VersionsOf(tables);
-  return out;
-}
-
-RemoteResult DbGateway::ExecuteNoDelay(const BatchStatement& stmt) {
-  RemoteResult out;
-  if (config_.fail_every_n > 0) {
-    const uint64_t n = op_counter_.fetch_add(1, std::memory_order_relaxed);
-    if ((n + 1) % config_.fail_every_n == 0) {
-      // Per-statement fault: the batch already paid its round trip; this
-      // statement provably did not reach the database (safe to retry),
-      // while its batch-mates complete normally.
+      // Fault injection: the statement paid its round trip but provably
+      // did not reach the database (safe to retry); in a batch, its
+      // batch-mates complete normally.
+      RemoteResult out;
       out.result = util::Status::Unavailable("injected transport fault");
       return out;
     }
   }
-  if (!stmt.is_write) {
-    // Snapshot first: an understamp is safe, a stale-as-fresh stamp is not.
-    out.versions = db_->VersionsOf(stmt.tables);
-    out.result = stmt.tpl != nullptr
-                     ? db_->ExecutePrepared(*stmt.tpl->statement, stmt.params)
-                     : db_->Execute(stmt.sql);
-    return out;
-  }
-  out.result = stmt.tpl != nullptr
-                   ? db_->ExecutePrepared(*stmt.tpl->statement, stmt.params)
-                   : db_->Execute(stmt.sql);
-  if (out.result.ok()) out.versions = db_->VersionsOf(stmt.tables);
-  return out;
+  return db_->ExecuteStamped(stmt);
 }
 
 void DbGateway::CompleteBatch(const std::shared_ptr<PendingBatch>& batch) {
@@ -109,36 +70,40 @@ void DbGateway::CompleteBatch(const std::shared_ptr<PendingBatch>& batch) {
   for (size_t i = 0; i < batch->stmts.size(); ++i) {
     batch->promises[i].Set(ExecuteNoDelay(batch->stmts[i]));
   }
+  // Only now is the batch finished: Set ran its continuations, and they
+  // counted any work they handed on.
+  unfinished_.fetch_sub(1, std::memory_order_seq_cst);
+}
+
+void DbGateway::FailBatch(const std::shared_ptr<PendingBatch>& batch,
+                          const util::Status& status) {
+  FailAll(batch->promises, status);
+  unfinished_.fetch_sub(1, std::memory_order_seq_cst);
 }
 
 std::vector<Future<RemoteResult>> DbGateway::ExecuteBatchAsync(
-    ThreadPool* pool, std::vector<BatchStatement> stmts, Deadline deadline,
-    uint64_t session) {
+    ThreadPool* pool, std::vector<sql::BoundStatement> stmts,
+    Deadline deadline, uint64_t session) {
   std::vector<Future<RemoteResult>> futures;
   futures.reserve(stmts.size());
   std::vector<Promise<RemoteResult>> promises(stmts.size());
   for (const auto& p : promises) futures.push_back(p.GetFuture());
   if (stmts.empty()) return futures;
 
-  if (deadline != kNoDeadline &&
-      std::chrono::steady_clock::now() + config_.rtt > deadline) {
+  if (BudgetExhausted(deadline)) {
     // Fail fast without paying the round trip: the whole batch shares one
     // envelope, so a budget that cannot cover the RTT dooms every
     // statement equally.
-    for (const auto& p : promises) {
-      RemoteResult r;
-      r.result = util::Status::DeadlineExceeded("query budget exhausted");
-      p.Set(std::move(r));
-    }
+    FailAll(promises, util::Status::DeadlineExceeded("query budget exhausted"));
     return futures;
   }
 
   auto batch = std::make_shared<PendingBatch>();
   batch->due = std::chrono::steady_clock::now() + config_.rtt;
   batch->stmts = std::move(stmts);
-  batch->promises = std::move(promises);
   batch->pool = pool;
   batch->session = session;
+  const size_t n = batch->stmts.size();
 
   bool rejected = false;
   {
@@ -147,49 +112,22 @@ std::vector<Future<RemoteResult>> DbGateway::ExecuteBatchAsync(
       rejected = true;
     } else {
       batch->seq = next_seq_++;
+      batch->promises = std::move(promises);
+      unfinished_.fetch_add(1, std::memory_order_seq_cst);
       heap_.push(batch);
     }
   }
   if (rejected) {
-    for (const auto& p : batch->promises) {
-      RemoteResult r;
-      r.result = util::Status::Unavailable("gateway shut down");
-      p.Set(std::move(r));
-    }
+    FailAll(promises, util::Status::Unavailable("gateway shut down"));
     return futures;
   }
   cv_.notify_one();
   if (batches_ != nullptr) {
     batches_->Inc();
-    batch_statements_->Inc(static_cast<int64_t>(batch->stmts.size()));
-    batch_size_->Record(static_cast<int64_t>(batch->stmts.size()));
+    batch_statements_->Inc(static_cast<int64_t>(n));
+    batch_size_->Record(static_cast<int64_t>(n));
   }
   return futures;
-}
-
-Future<RemoteResult> DbGateway::ExecuteAsync(ThreadPool* pool,
-                                             const std::string& sql,
-                                             bool is_write,
-                                             std::vector<std::string> tables,
-                                             Deadline deadline,
-                                             uint64_t session) {
-  std::vector<BatchStatement> stmts(1);
-  stmts[0].sql = sql;
-  stmts[0].is_write = is_write;
-  stmts[0].tables = std::move(tables);
-  return ExecuteBatchAsync(pool, std::move(stmts), deadline, session)[0];
-}
-
-Future<RemoteResult> DbGateway::ExecutePreparedAsync(
-    ThreadPool* pool, sql::CachedTemplatePtr tpl,
-    std::vector<common::Value> params, bool is_write,
-    std::vector<std::string> tables, Deadline deadline, uint64_t session) {
-  std::vector<BatchStatement> stmts(1);
-  stmts[0].tpl = std::move(tpl);
-  stmts[0].params = std::move(params);
-  stmts[0].is_write = is_write;
-  stmts[0].tables = std::move(tables);
-  return ExecuteBatchAsync(pool, std::move(stmts), deadline, session)[0];
 }
 
 void DbGateway::TimerLoop() {
@@ -222,11 +160,7 @@ void DbGateway::TimerLoop() {
     if (!dispatched) {
       if (stop_) {
         // Shutdown drain: do not touch the database, fail the statements.
-        for (const auto& p : batch->promises) {
-          RemoteResult r;
-          r.result = util::Status::Unavailable("gateway shut down");
-          p.Set(std::move(r));
-        }
+        FailBatch(batch, util::Status::Unavailable("gateway shut down"));
       } else {
         // No pool (bare gateway in tests) or pool closed mid-run: complete
         // on the timer thread rather than losing the batch.
@@ -254,19 +188,9 @@ void DbGateway::Shutdown() {
     leftovers.swap(heap_);
   }
   while (!leftovers.empty()) {
-    auto batch = leftovers.top();
+    FailBatch(leftovers.top(), util::Status::Unavailable("gateway shut down"));
     leftovers.pop();
-    for (const auto& p : batch->promises) {
-      RemoteResult r;
-      r.result = util::Status::Unavailable("gateway shut down");
-      p.Set(std::move(r));
-    }
   }
-}
-
-size_t DbGateway::pending_batches() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return heap_.size();
 }
 
 }  // namespace apollo::rt

@@ -3,9 +3,11 @@
 // Where the simulator's net::RemoteDatabase models the WAN with simulated
 // delays and callbacks on the event loop, the gateway talks to the same
 // db::Database from real threads: each execution pays a (configurable)
-// real-time round trip, runs the statement, and reports the table-version
-// snapshot the paper's session consistency needs. Completions are
-// delivered as rt::Future values.
+// real-time round trip, then runs a bound statement (sql::BoundStatement:
+// cached template + parameters — nothing is re-parsed) through
+// db::Database::ExecuteStamped, which returns the result with the
+// table-version stamp the paper's session consistency needs. Completions
+// are delivered as rt::Future values.
 //
 // Since the scaling rework (DESIGN.md Section 14) the async paths are
 // fully non-blocking: instead of parking a pool worker in a sleep for the
@@ -20,14 +22,6 @@
 // submission order (a read after a write in the same batch sees the
 // written data), and each statement's result is demultiplexed into its
 // own Future.
-//
-// Version-stamp discipline: for reads the snapshot is taken BEFORE the
-// statement runs. A concurrent write between snapshot and execution can
-// make the stamp *older* than the data — a conservative understamp that
-// at worst causes a spurious cache miss — but never newer, so a stale
-// result can never satisfy a session's freshness requirement. Writes
-// snapshot AFTER executing, when the bumped versions are exactly the ones
-// the writing client has observed.
 #pragma once
 
 #include <atomic>
@@ -38,10 +32,8 @@
 #include <queue>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
-#include "common/result_set.h"
 #include "db/database.h"
 #include "obs/observability.h"
 #include "rt/future.h"
@@ -59,25 +51,9 @@ namespace apollo::rt {
 using Deadline = std::chrono::steady_clock::time_point;
 inline constexpr Deadline kNoDeadline = Deadline::max();
 
-/// Outcome of one remote execution: result plus the version snapshot used
-/// for cache stamps and session vector advances.
-struct RemoteResult {
-  util::Result<common::ResultSetPtr> result =
-      util::Result<common::ResultSetPtr>(nullptr);
-  std::unordered_map<std::string, uint64_t> versions;
-};
-
-/// One statement of a batched round trip. Either `sql` (text path) or
-/// `tpl` + `params` (prepared path; the statement is never re-parsed).
-struct BatchStatement {
-  std::string sql;
-  sql::CachedTemplatePtr tpl;
-  std::vector<common::Value> params;
-  bool is_write = false;
-  /// Tables whose versions stamp the result (read: snapshot-before,
-  /// write: snapshot-after).
-  std::vector<std::string> tables;
-};
+/// Outcome of one remote execution: result plus the version stamp used for
+/// cache entries and session vector advances.
+using RemoteResult = db::StampedResult;
 
 struct DbGatewayConfig {
   /// Real-time WAN round trip added to every execution. This is what the
@@ -107,26 +83,14 @@ class DbGateway {
   DbGateway(const DbGateway&) = delete;
   DbGateway& operator=(const DbGateway&) = delete;
 
-  /// Executes on the calling thread: sleeps the WAN round trip, runs the
-  /// statement, snapshots versions of `tables` (before for reads, after —
-  /// and of every written table — for writes). If `deadline` cannot cover
-  /// the round trip the call fails fast with DeadlineExceeded WITHOUT
-  /// paying the round trip or touching the database. Legacy path: kept
-  /// for the batching-off runtime configuration and microbenches; the
-  /// async paths below never sleep a worker.
-  RemoteResult ExecuteInline(const std::string& sql, bool is_write,
-                             const std::vector<std::string>& tables,
+  /// Executes on the calling thread: sleeps the WAN round trip, then runs
+  /// and stamps the statement. If `deadline` cannot cover the round trip
+  /// the call fails fast with DeadlineExceeded WITHOUT paying the round
+  /// trip or touching the database. Used where a pool worker owns the
+  /// whole trip (unbatched predictions); the batch path below never sleeps
+  /// a worker.
+  RemoteResult ExecuteInline(const sql::BoundStatement& stmt,
                              Deadline deadline = kNoDeadline);
-
-  /// Prepared-statement variant of ExecuteInline: same round trip and
-  /// version-stamp discipline, but the statement comes pre-parsed from the
-  /// template cache and parameters are bound at execution — the SQL text is
-  /// never re-parsed.
-  RemoteResult ExecutePreparedInline(const sql::CachedTemplatePtr& tpl,
-                                     const std::vector<common::Value>& params,
-                                     bool is_write,
-                                     const std::vector<std::string>& tables,
-                                     Deadline deadline = kNoDeadline);
 
   /// Coalesces `stmts` into a single WAN round trip: the batch pays one
   /// RTT in the timer heap, then a pool task (kClient, keyed by `session`
@@ -137,24 +101,8 @@ class DbGateway {
   /// fail with Unavailable. `pool` may be null (completion then runs on
   /// the timer thread — shutdown drains only).
   std::vector<Future<RemoteResult>> ExecuteBatchAsync(
-      ThreadPool* pool, std::vector<BatchStatement> stmts,
+      ThreadPool* pool, std::vector<sql::BoundStatement> stmts,
       Deadline deadline = kNoDeadline, uint64_t session = 0);
-
-  /// Single-statement convenience over ExecuteBatchAsync (text path).
-  Future<RemoteResult> ExecuteAsync(ThreadPool* pool, const std::string& sql,
-                                    bool is_write,
-                                    std::vector<std::string> tables,
-                                    Deadline deadline = kNoDeadline,
-                                    uint64_t session = 0);
-
-  /// Single-statement convenience over ExecuteBatchAsync (prepared path).
-  Future<RemoteResult> ExecutePreparedAsync(ThreadPool* pool,
-                                            sql::CachedTemplatePtr tpl,
-                                            std::vector<common::Value> params,
-                                            bool is_write,
-                                            std::vector<std::string> tables,
-                                            Deadline deadline = kNoDeadline,
-                                            uint64_t session = 0);
 
   /// Stops the WAN timer thread. Operations still pending in the heap are
   /// failed with Unavailable (their Then-continuations run on the calling
@@ -162,9 +110,14 @@ class DbGateway {
   /// client threads have stopped issuing work.
   void Shutdown();
 
-  /// Batches currently waiting in the timer heap (tests / quiescence
-  /// detection).
-  size_t pending_batches() const;
+  /// Batches accepted by ExecuteBatchAsync and not yet finished: waiting
+  /// out their round trip, waiting for a pool worker, or executing. A batch
+  /// counts until CompleteBatch has set every promise — and so has run the
+  /// Then-continuations, which count whatever work they hand on — which
+  /// makes the count exact for quiescence detection.
+  size_t pending_batches() const {
+    return unfinished_.load(std::memory_order_seq_cst);
+  }
 
   const DbGatewayConfig& config() const { return config_; }
 
@@ -172,7 +125,7 @@ class DbGateway {
   struct PendingBatch {
     std::chrono::steady_clock::time_point due;
     uint64_t seq = 0;  // FIFO tiebreak for identical due times
-    std::vector<BatchStatement> stmts;
+    std::vector<sql::BoundStatement> stmts;
     std::vector<Promise<RemoteResult>> promises;
     ThreadPool* pool = nullptr;
     uint64_t session = 0;
@@ -185,18 +138,20 @@ class DbGateway {
     }
   };
 
-  /// Deadline fail-fast + injected-fault check shared by the Inline paths.
-  /// Returns false (filling *out) when the execution must not proceed.
-  bool AdmitOp(Deadline deadline, RemoteResult* out);
+  /// True when `deadline` cannot cover one round trip from now.
+  bool BudgetExhausted(Deadline deadline) const;
 
-  /// Executes one statement with no WAN delay (the round trip was already
-  /// paid in the timer heap), honoring per-statement fault injection.
-  RemoteResult ExecuteNoDelay(const BatchStatement& stmt);
+  /// Executes one statement with no WAN delay (the caller already paid the
+  /// round trip), honoring per-statement fault injection.
+  RemoteResult ExecuteNoDelay(const sql::BoundStatement& stmt);
 
   /// Runs every statement of a due batch in order and fulfills the
   /// promises. Runs on a pool worker normally; on the timer thread when
   /// the pool refused the completion task (shutdown drain).
   void CompleteBatch(const std::shared_ptr<PendingBatch>& batch);
+  /// Fails every statement of an accepted batch with `status` and ends it.
+  void FailBatch(const std::shared_ptr<PendingBatch>& batch,
+                 const util::Status& status);
 
   void TimerLoop();
 
@@ -211,6 +166,9 @@ class DbGateway {
       heap_;
   uint64_t next_seq_ = 0;
   bool stop_ = false;
+  /// See pending_batches(): raised when a batch enters the heap, dropped
+  /// once its promises are set.
+  std::atomic<size_t> unfinished_{0};
   std::thread timer_;
 
   // Batch instruments (null when constructed without an obs bundle, e.g.

@@ -93,8 +93,15 @@ class ThreadPool {
   size_t predictive_watermark() const {
     return config_.predictive_watermark;
   }
-  uint64_t executed() const {
-    return executed_.load(std::memory_order_relaxed);
+  /// Tasks submitted and not yet finished. A task counts from before it
+  /// is queued until its fn() has returned, so work a running task hands
+  /// on (raising another count first) is never invisible.
+  int64_t pending() const { return pending_.load(std::memory_order_seq_cst); }
+  /// Submission attempts so far (monotonic, rejected ones included). A
+  /// caller that reads it before and after other counts can tell whether a
+  /// task entered the pool in between.
+  uint64_t submitted() const {
+    return submitted_.load(std::memory_order_seq_cst);
   }
   uint64_t rejected_predictive() const {
     return rejected_predictive_->Value();
@@ -117,7 +124,8 @@ class ThreadPool {
   /// Non-null iff fair_queueing is on; replaces queue_ as the feed.
   std::unique_ptr<SessionFairQueue<Task>> fair_;
   std::vector<std::thread> workers_;
-  std::atomic<uint64_t> executed_{0};
+  std::atomic<int64_t> pending_{0};
+  std::atomic<uint64_t> submitted_{0};
   bool shut_down_ = false;
 
   std::unique_ptr<obs::Observability> owned_obs_;

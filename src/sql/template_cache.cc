@@ -55,6 +55,12 @@ util::Result<AdmittedQuery> TemplateCache::Admit(const std::string& sql) {
   // with this lex key takes the fast path.
   auto info = Templatize(sql);
   if (!info.ok()) return info.status();
+  if (static_cast<int>(info->params.size()) != info->num_placeholders) {
+    // A client statement is outside input with every value in place; one
+    // that brings its own placeholders could never be bound.
+    return util::Status::InvalidArgument(
+        "client SQL must not contain placeholders: " + sql);
+  }
   fallbacks_.fetch_add(1, std::memory_order_relaxed);
 
   AdmittedQuery q;
@@ -65,24 +71,12 @@ util::Result<AdmittedQuery> TemplateCache::Admit(const std::string& sql) {
   const bool map_lex_key = lex_ok && SameParams(lex.params, q.params);
   {
     std::unique_lock<std::shared_mutex> lock(mu_);
-    q.tpl = InternLocked(std::move(*info));
+    auto tpl = InternLocked(std::move(*info));
+    if (!tpl.ok()) return tpl.status();
+    q.tpl = std::move(*tpl);
     if (map_lex_key) by_lex_key_.emplace(std::move(lex.key), q.tpl);
   }
   return q;
-}
-
-CachedTemplatePtr TemplateCache::GetByFingerprint(uint64_t fingerprint) const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  auto it = by_fingerprint_.find(fingerprint);
-  return it != by_fingerprint_.end() ? it->second : nullptr;
-}
-
-CachedTemplatePtr TemplateCache::Intern(const TemplateInfo& info) {
-  TemplateInfo tpl_info = info;
-  tpl_info.params.clear();
-  tpl_info.canonical_text.clear();
-  std::unique_lock<std::shared_mutex> lock(mu_);
-  return InternLocked(std::move(tpl_info));
 }
 
 size_t TemplateCache::size() const {
@@ -90,16 +84,18 @@ size_t TemplateCache::size() const {
   return by_fingerprint_.size();
 }
 
-CachedTemplatePtr TemplateCache::InternLocked(TemplateInfo&& info) {
+util::Result<CachedTemplatePtr> TemplateCache::InternLocked(
+    TemplateInfo&& info) {
   auto it = by_fingerprint_.find(info.fingerprint);
   if (it != by_fingerprint_.end()) return it->second;
-  auto entry = std::make_shared<CachedTemplate>();
-  entry->info = std::move(info);
   // Re-parse the template text once to get the parameterized statement. The
   // parser assigns placeholder indices in token order, which is template
   // print order — i.e. the order of every admitted query's params vector.
-  auto stmt = Parse(entry->info.template_text);
-  if (stmt.ok()) entry->statement = std::move(*stmt);
+  auto stmt = Parse(info.template_text);
+  if (!stmt.ok()) return stmt.status();
+  auto entry = std::make_shared<CachedTemplate>();
+  entry->info = std::move(info);
+  entry->statement = std::move(*stmt);
   CachedTemplatePtr shared = std::move(entry);
   by_fingerprint_.emplace(shared->info.fingerprint, shared);
   return shared;

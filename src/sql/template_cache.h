@@ -7,6 +7,15 @@
 // without building an AST; first sights and lexically ambiguous queries fall
 // back to the full parse and seed the cache.
 //
+// Admission contract: every admitted query is a bound statement — a cached
+// template whose `statement` is non-null plus one value per placeholder —
+// and that is the only form in which a statement travels to the origin
+// (net::RemoteDatabase, rt::DbGateway; both execute it through
+// db::Database::ExecuteStamped). Admit() fails instead of returning
+// anything else: client SQL that already carries '?' or '@name'
+// placeholders is InvalidArgument, and a template whose text does not
+// re-parse fails admission with the parse error.
+//
 // Invariants:
 //  - CachedTemplate instances are immutable after insertion and published as
 //    shared_ptr<const CachedTemplate>; readers may hold them indefinitely.
@@ -40,13 +49,20 @@ struct CachedTemplate {
   /// they are per-query, not per-template (see AdmittedQuery).
   TemplateInfo info;
   /// Statement parsed from info.template_text, every literal a placeholder
-  /// whose index is the position in a query's params vector. Null when the
-  /// template text does not round-trip through the parser; such templates
-  /// simply never use the prepared path.
+  /// whose index is the position in a query's params vector. Never null:
+  /// a template whose text does not re-parse is never cached.
   std::unique_ptr<const Statement> statement;
 };
 
 using CachedTemplatePtr = std::shared_ptr<const CachedTemplate>;
+
+/// A statement as it travels to the origin: a cached template plus one
+/// bound value per placeholder. The origin executes `tpl->statement` with
+/// `params`; nothing re-parses SQL text.
+struct BoundStatement {
+  CachedTemplatePtr tpl;
+  std::vector<common::Value> params;
+};
 
 /// One admitted query: its (shared, immutable) template plus the per-query
 /// state — bound parameters and the canonical cache-key text.
@@ -68,13 +84,15 @@ struct AdmittedQuery {
   const std::vector<std::string>& tables_written() const {
     return tpl->info.tables_written;
   }
-  /// True when this query can run through the prepared execution path:
-  /// the template round-tripped through the parser and every placeholder
-  /// has a bound value.
+  /// True when the template has a statement and every placeholder a bound
+  /// value — which the admission contract guarantees for every query
+  /// Admit() returns.
   bool preparable() const {
     return tpl->statement != nullptr &&
            static_cast<int>(params.size()) == tpl->info.num_placeholders;
   }
+  /// The statement to ship to the origin.
+  BoundStatement bound() const { return {tpl, params}; }
 };
 
 /// Thread-safe fingerprint-keyed template cache. Entries are interned once
@@ -84,15 +102,10 @@ class TemplateCache {
  public:
   /// Admits one query: lex fast path when possible, full parse otherwise.
   /// Returns the same fingerprint/params/canonical text the full
-  /// parse+print route would produce, or the parse error.
+  /// parse+print route would produce, or an error: the parse error,
+  /// InvalidArgument for client SQL with its own placeholders, or the
+  /// template's re-parse error (see the admission contract above).
   util::Result<AdmittedQuery> Admit(const std::string& sql);
-
-  /// Returns the cached template for `fingerprint`, or nullptr.
-  CachedTemplatePtr GetByFingerprint(uint64_t fingerprint) const;
-
-  /// Interns the template of an already-parsed statement (no lex-key
-  /// mapping). Used by callers that parsed for other reasons.
-  CachedTemplatePtr Intern(const TemplateInfo& info);
 
   uint64_t fast_hits() const {
     return fast_hits_.load(std::memory_order_relaxed);
@@ -104,8 +117,9 @@ class TemplateCache {
 
  private:
   /// Inserts (or finds) the entry for `info`, parsing the template text into
-  /// the prepared statement on first insertion. Caller must hold `mu_`.
-  CachedTemplatePtr InternLocked(TemplateInfo&& info);
+  /// the prepared statement on first insertion; fails, caching nothing, if
+  /// the template text does not re-parse. Caller must hold `mu_`.
+  util::Result<CachedTemplatePtr> InternLocked(TemplateInfo&& info);
 
   mutable std::shared_mutex mu_;
   std::unordered_map<uint64_t, CachedTemplatePtr> by_fingerprint_;

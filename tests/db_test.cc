@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "db/database.h"
+#include "sql/template_cache.h"
 
 namespace apollo::db {
 namespace {
@@ -266,6 +267,60 @@ TEST_F(DatabaseTest, ErrorsSurface) {
   EXPECT_FALSE(db_.Execute("SELECT NOPE_COL FROM USERS").ok());
   EXPECT_FALSE(db_.Execute("INSERT INTO USERS (ID) VALUES (1, 2)").ok());
   EXPECT_FALSE(db_.Execute("UPDATE USERS SET NOPE = 1").ok());
+}
+
+// ExecuteStamped: the one place the origin's version-stamp rule lives.
+class StampedExecuteTest : public DatabaseTest {
+ protected:
+  StampedResult Run(const std::string& sql) {
+    auto adm = cache_.Admit(sql);
+    EXPECT_TRUE(adm.ok()) << sql;
+    return db_.ExecuteStamped(adm->bound());
+  }
+  sql::TemplateCache cache_;
+};
+
+TEST_F(StampedExecuteTest, ReadStampIsVersionsBeforeItRan) {
+  Exec("UPDATE USERS SET AGE = 40 WHERE ID = 1");
+  const uint64_t users = db_.TableVersion("USERS");
+  const uint64_t orders = db_.TableVersion("ORDERS");
+  StampedResult r = Run(
+      "SELECT NAME, AMOUNT FROM USERS, ORDERS WHERE USER_ID = ID AND ID = 1");
+  ASSERT_TRUE(r.result.ok());
+  EXPECT_EQ((*r.result)->num_rows(), 2u);
+  // Exactly the tables it read, at the versions it read them.
+  EXPECT_EQ(r.versions.size(), 2u);
+  EXPECT_EQ(r.versions.at("USERS"), users);
+  EXPECT_EQ(r.versions.at("ORDERS"), orders);
+  EXPECT_EQ(db_.TableVersion("USERS"), users);
+}
+
+TEST_F(StampedExecuteTest, WriteStampIncludesItsOwnBump) {
+  const uint64_t users = db_.TableVersion("USERS");
+  StampedResult w = Run("UPDATE USERS SET AGE = 41 WHERE ID = 2");
+  ASSERT_TRUE(w.result.ok());
+  EXPECT_EQ(w.versions.size(), 1u);
+  EXPECT_EQ(w.versions.at("USERS"), users + 1);
+  EXPECT_EQ(db_.TableVersion("USERS"), users + 1);
+}
+
+TEST_F(StampedExecuteTest, FailedWriteCarriesNoVersions) {
+  const uint64_t users = db_.TableVersion("USERS");
+  StampedResult w = Run("UPDATE USERS SET NOPE = 1 WHERE ID = 1");
+  EXPECT_FALSE(w.result.ok());
+  EXPECT_TRUE(w.versions.empty());
+  EXPECT_EQ(db_.TableVersion("USERS"), users);
+}
+
+TEST_F(StampedExecuteTest, ReadAfterWriteInOneBatchSeesBumpedVersion) {
+  // A batch runs its statements in order; the read's stamp must cover the
+  // write ahead of it.
+  StampedResult w = Run("UPDATE USERS SET AGE = 42 WHERE ID = 3");
+  StampedResult r = Run("SELECT AGE FROM USERS WHERE ID = 3");
+  ASSERT_TRUE(w.result.ok());
+  ASSERT_TRUE(r.result.ok());
+  EXPECT_EQ((*r.result)->At(0, 0).AsInt(), 42);
+  EXPECT_EQ(r.versions.at("USERS"), w.versions.at("USERS"));
 }
 
 TEST_F(DatabaseTest, DuplicateTableRejected) {

@@ -277,9 +277,9 @@ bool SameResult(const common::ResultSet& a, const common::ResultSet& b,
 }
 
 /// Replays the TPC-W statement stream against two identically seeded
-/// databases — one executing SQL text, one executing through the prepared
-/// path whenever the admission says it can — and requires bit-identical
-/// results (cells, rows_examined, affected_rows) on every statement.
+/// databases — one executing SQL text, one executing every admitted query
+/// through the prepared path — and requires bit-identical results (cells,
+/// rows_examined, affected_rows) on every statement.
 TEST(PreparedExecutionParityTest, ResultsBitIdenticalToTextExecution) {
   db::Database text_db;
   db::Database prep_db;
@@ -295,27 +295,20 @@ TEST(PreparedExecutionParityTest, ResultsBitIdenticalToTextExecution) {
   ASSERT_GT(corpus.size(), 200u);
 
   sql::TemplateCache cache;
-  size_t prepared = 0;
   for (const std::string& q : corpus) {
     auto expected = text_db.Execute(q);
     auto adm = cache.Admit(q);
     ASSERT_TRUE(adm.ok()) << q;
-    util::Result<common::ResultSetPtr> actual =
-        adm->preparable()
-            ? prep_db.ExecutePrepared(*adm->tpl->statement, adm->params)
-            : prep_db.Execute(q);
-    if (adm->preparable()) ++prepared;
+    // The admission contract: every admitted statement ships prepared, so
+    // the prepared path carries the whole stream.
+    ASSERT_TRUE(adm->preparable()) << q;
+    auto actual = prep_db.ExecutePrepared(*adm->tpl->statement, adm->params);
 
     ASSERT_EQ(expected.ok(), actual.ok()) << q;
     if (!expected.ok()) continue;
     std::string why;
     EXPECT_TRUE(SameResult(**expected, **actual, &why)) << q << ": " << why;
   }
-  // The prepared path must carry the bulk of the stream, or the no-reparse
-  // contract is vacuous.
-  EXPECT_GE(static_cast<double>(prepared),
-            0.8 * static_cast<double>(corpus.size()))
-      << "prepared=" << prepared << " corpus=" << corpus.size();
 }
 
 }  // namespace

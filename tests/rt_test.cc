@@ -15,6 +15,7 @@
 #include <thread>
 #include <vector>
 
+#include "bind_sql.h"
 #include "db/database.h"
 #include "persist/snapshot.h"
 #include "rt/concurrent_apollo.h"
@@ -150,7 +151,8 @@ TEST(ThreadPoolTest, ExecutesAllClientTasks) {
   }
   pool.Shutdown();
   EXPECT_EQ(ran.load(), 100);
-  EXPECT_EQ(pool.executed(), 100u);
+  EXPECT_EQ(pool.submitted(), 100u);
+  EXPECT_EQ(pool.pending(), 0);
 }
 
 TEST(ThreadPoolTest, PredictiveShedAtWatermark) {
@@ -331,8 +333,8 @@ TEST_F(ConcurrentApolloTest, GatewayReadStampNeverNewerThanData) {
     }
   });
   for (int i = 0; i < 200; ++i) {
-    auto rr = gw.ExecuteInline("SELECT I_STOCK FROM ITEM WHERE I_ID = 7",
-                               /*is_write=*/false, {"ITEM"});
+    auto rr =
+        gw.ExecuteInline(BindSql("SELECT I_STOCK FROM ITEM WHERE I_ID = 7"));
     ASSERT_TRUE(rr.result.ok());
     EXPECT_LE(rr.versions["ITEM"], db_.TableVersion("ITEM"));
   }

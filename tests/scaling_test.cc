@@ -16,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "bind_sql.h"
 #include "cache/kv_cache.h"
 #include "core/apollo_middleware.h"
 #include "db/database.h"
@@ -352,12 +353,10 @@ class GatewayBatchTest : public ScalingFixture {};
 TEST_F(GatewayBatchTest, BatchDemultiplexesPerStatementResults) {
   obs::Observability obs;
   rt::DbGateway gw(&db_, {.rtt = std::chrono::microseconds(500)}, &obs);
-  std::vector<rt::BatchStatement> stmts;
+  std::vector<sql::BoundStatement> stmts;
   for (int i = 1; i <= 4; ++i) {
-    rt::BatchStatement st;
-    st.sql = "SELECT C_V FROM C WHERE C_ID = " + std::to_string(2000 + i);
-    st.tables = {"C"};
-    stmts.push_back(std::move(st));
+    stmts.push_back(
+        BindSql("SELECT C_V FROM C WHERE C_ID = " + std::to_string(2000 + i)));
   }
   auto futures = gw.ExecuteBatchAsync(/*pool=*/nullptr, std::move(stmts));
   ASSERT_EQ(futures.size(), 4u);
@@ -378,16 +377,9 @@ TEST_F(GatewayBatchTest, BatchDemultiplexesPerStatementResults) {
 
 TEST_F(GatewayBatchTest, ReadAfterWriteInSameBatchSeesWrittenData) {
   rt::DbGateway gw(&db_, {.rtt = std::chrono::microseconds(200)});
-  rt::BatchStatement write;
-  write.sql = "UPDATE C SET C_V = 4242 WHERE C_ID = 2001";
-  write.is_write = true;
-  write.tables = {"C"};
-  rt::BatchStatement read;
-  read.sql = "SELECT C_V FROM C WHERE C_ID = 2001";
-  read.tables = {"C"};
-  std::vector<rt::BatchStatement> stmts;
-  stmts.push_back(std::move(write));
-  stmts.push_back(std::move(read));
+  std::vector<sql::BoundStatement> stmts;
+  stmts.push_back(BindSql("UPDATE C SET C_V = 4242 WHERE C_ID = 2001"));
+  stmts.push_back(BindSql("SELECT C_V FROM C WHERE C_ID = 2001"));
   auto futures = gw.ExecuteBatchAsync(nullptr, std::move(stmts));
   rt::RemoteResult w = futures[0].Take();
   rt::RemoteResult r = futures[1].Take();
@@ -404,12 +396,10 @@ TEST_F(GatewayBatchTest, MidBatchFaultFailsOnlyAffectedSubStatements) {
   // op counter 3) fails while its batch-mates complete normally.
   rt::DbGateway gw(&db_,
                    {.rtt = std::chrono::microseconds(200), .fail_every_n = 3});
-  std::vector<rt::BatchStatement> stmts;
+  std::vector<sql::BoundStatement> stmts;
   for (int i = 1; i <= 5; ++i) {
-    rt::BatchStatement st;
-    st.sql = "SELECT C_V FROM C WHERE C_ID = " + std::to_string(2000 + i);
-    st.tables = {"C"};
-    stmts.push_back(std::move(st));
+    stmts.push_back(
+        BindSql("SELECT C_V FROM C WHERE C_ID = " + std::to_string(2000 + i)));
   }
   auto futures = gw.ExecuteBatchAsync(nullptr, std::move(stmts));
   int failed = 0;
@@ -430,11 +420,8 @@ TEST_F(GatewayBatchTest, MidBatchFaultFailsOnlyAffectedSubStatements) {
 
 TEST_F(GatewayBatchTest, ExpiredDeadlineFailsWholeBatchFast) {
   rt::DbGateway gw(&db_, {.rtt = std::chrono::milliseconds(50)});
-  std::vector<rt::BatchStatement> stmts(3);
-  for (auto& st : stmts) {
-    st.sql = "SELECT C_V FROM C WHERE C_ID = 2001";
-    st.tables = {"C"};
-  }
+  std::vector<sql::BoundStatement> stmts(
+      3, BindSql("SELECT C_V FROM C WHERE C_ID = 2001"));
   const auto t0 = std::chrono::steady_clock::now();
   auto futures = gw.ExecuteBatchAsync(
       nullptr, std::move(stmts),
@@ -454,11 +441,8 @@ TEST_F(GatewayBatchTest, ExpiredDeadlineFailsWholeBatchFast) {
 
 TEST_F(GatewayBatchTest, ThenContinuationsRunWithoutBlockingTake) {
   rt::DbGateway gw(&db_, {.rtt = std::chrono::microseconds(300)});
-  rt::BatchStatement st;
-  st.sql = "SELECT C_V FROM C WHERE C_ID = 2002";
-  st.tables = {"C"};
-  std::vector<rt::BatchStatement> stmts;
-  stmts.push_back(std::move(st));
+  std::vector<sql::BoundStatement> stmts;
+  stmts.push_back(BindSql("SELECT C_V FROM C WHERE C_ID = 2002"));
   std::atomic<int> seen{0};
   auto futures = gw.ExecuteBatchAsync(nullptr, std::move(stmts));
   futures[0].Then([&seen](const rt::RemoteResult& rr) {
@@ -558,14 +542,12 @@ TEST_F(GatewayBatchContentionTest, ConcurrentBatchesAllComplete) {
   for (int t = 0; t < kThreads; ++t) {
     workers.emplace_back([&, t] {
       for (int b = 0; b < kBatchesEach; ++b) {
-        std::vector<rt::BatchStatement> stmts;
+        std::vector<sql::BoundStatement> stmts;
         const int n = 1 + (t + b) % 4;
         for (int i = 0; i < n; ++i) {
-          rt::BatchStatement st;
           const int id = 2001 + (t * 17 + b * 3 + i) % 200;
-          st.sql = "SELECT C_V FROM C WHERE C_ID = " + std::to_string(id);
-          st.tables = {"C"};
-          stmts.push_back(std::move(st));
+          stmts.push_back(
+              BindSql("SELECT C_V FROM C WHERE C_ID = " + std::to_string(id)));
         }
         auto futures = gw.ExecuteBatchAsync(&pool, std::move(stmts),
                                             rt::kNoDeadline,
@@ -579,9 +561,11 @@ TEST_F(GatewayBatchContentionTest, ConcurrentBatchesAllComplete) {
   }
   for (auto& w : workers) w.join();
   EXPECT_EQ(failures.load(), 0);
+  // A batch counts until its completion task has set every promise, which
+  // can trail the last Take(); joining the pool's workers ends them all.
+  pool.Shutdown();
   EXPECT_EQ(gw.pending_batches(), 0u);
   gw.Shutdown();
-  pool.Shutdown();
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "bind_sql.h"
 #include "net/remote_database.h"
 #include "sim/event_loop.h"
 #include "sim/latency_model.h"
@@ -136,7 +137,7 @@ TEST_F(RemoteDatabaseTest, ChargesRoundTrip) {
   net::RemoteDatabase remote(&loop_, &db_, cfg);
 
   util::SimTime completed = -1;
-  remote.Execute("SELECT V FROM T WHERE ID = 1",
+  remote.Execute(BindSql("SELECT V FROM T WHERE ID = 1"),
                  [&](util::Result<common::ResultSetPtr> rs, auto versions) {
                    ASSERT_TRUE(rs.ok());
                    EXPECT_EQ((*rs)->At(0, 0).AsString(), "a");
@@ -152,7 +153,7 @@ TEST_F(RemoteDatabaseTest, WriteBumpsVersionInCallback) {
   cfg.rtt = LatencyModel::Constant(util::Millis(10));
   net::RemoteDatabase remote(&loop_, &db_, cfg);
   uint64_t v0 = db_.TableVersion("T");
-  remote.Execute("UPDATE T SET V = 'b' WHERE ID = 1",
+  remote.Execute(BindSql("UPDATE T SET V = 'b' WHERE ID = 1"),
                  [&](util::Result<common::ResultSetPtr> rs, auto versions) {
                    ASSERT_TRUE(rs.ok());
                    EXPECT_EQ(versions.at("T"), v0 + 1);
@@ -165,7 +166,8 @@ TEST_F(RemoteDatabaseTest, ErrorsPropagate) {
   net::RemoteDbConfig cfg;
   net::RemoteDatabase remote(&loop_, &db_, cfg);
   bool saw_error = false;
-  remote.Execute("SELECT broken FROM",
+  // Well-formed, so it admits; it fails where it executes.
+  remote.Execute(BindSql("SELECT V FROM MISSING WHERE ID = 1"),
                  [&](util::Result<common::ResultSetPtr> rs, auto) {
                    saw_error = !rs.ok();
                  });
@@ -177,9 +179,10 @@ TEST_F(RemoteDatabaseTest, ErrorsPropagate) {
 TEST_F(RemoteDatabaseTest, PredictiveTaggedInStats) {
   net::RemoteDbConfig cfg;
   net::RemoteDatabase remote(&loop_, &db_, cfg);
-  remote.Execute("SELECT V FROM T WHERE ID = 1", [](auto, auto) {},
-                 /*predictive=*/true);
-  remote.Execute("SELECT V FROM T WHERE ID = 1", [](auto, auto) {});
+  remote.Execute(BindSql("SELECT V FROM T WHERE ID = 1"),
+                 [](auto, auto) {}, /*predictive=*/true);
+  remote.Execute(BindSql("SELECT V FROM T WHERE ID = 1"),
+                 [](auto, auto) {});
   loop_.Run();
   EXPECT_EQ(remote.stats().queries, 2u);
   EXPECT_EQ(remote.stats().predictive_queries, 1u);
@@ -200,11 +203,11 @@ TEST_F(RemoteDatabaseTest, ServiceTimeScalesWithRowsExamined) {
 
   util::SimTime t_probe = -1;
   util::SimTime t_scan = -1;
-  remote.Execute("SELECT V FROM T WHERE ID = 5",
+  remote.Execute(BindSql("SELECT V FROM T WHERE ID = 5"),
                  [&](auto, auto) { t_probe = loop_.now(); });
   loop_.Run();
   util::SimTime base = loop_.now();
-  remote.Execute("SELECT COUNT(*) AS N FROM T WHERE V = 'x'",
+  remote.Execute(BindSql("SELECT COUNT(*) AS N FROM T WHERE V = 'x'"),
                  [&](auto, auto) { t_scan = loop_.now() - base; });
   loop_.Run();
   EXPECT_LT(t_probe, t_scan);

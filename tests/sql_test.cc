@@ -1,8 +1,15 @@
 #include <gtest/gtest.h>
 
+#include "cache/kv_cache.h"
+#include "core/apollo_middleware.h"
+#include "db/database.h"
+#include "net/remote_database.h"
+#include "rt/concurrent_apollo.h"
+#include "sim/event_loop.h"
 #include "sql/parser.h"
 #include "sql/printer.h"
 #include "sql/template.h"
+#include "sql/template_cache.h"
 #include "sql/token.h"
 
 namespace apollo::sql {
@@ -229,6 +236,91 @@ TEST(TemplateTest, StatementCloneIsDeep) {
   ASSERT_TRUE(stmt.ok());
   auto clone = (*stmt)->Clone();
   EXPECT_EQ(PrintStatement(**stmt), PrintStatement(*clone));
+}
+
+// --------------------------------------------------------------------------
+// Admission contract (DESIGN.md Section 10): whatever Admit() returns ships
+// to the origin as a bound statement; whatever cannot, it rejects.
+// --------------------------------------------------------------------------
+
+TEST(AdmissionContractTest, ClientPlaceholdersRejected) {
+  TemplateCache cache;
+  for (const char* q :
+       {"SELECT V FROM T WHERE ID = ?", "SELECT V FROM T WHERE ID = @id",
+        "SELECT V FROM T WHERE ID = ? AND V = 'a'",
+        "UPDATE T SET V = ? WHERE ID = 1"}) {
+    auto adm = cache.Admit(q);
+    ASSERT_FALSE(adm.ok()) << q;
+    EXPECT_EQ(adm.status().code(), util::StatusCode::kInvalidArgument) << q;
+  }
+  EXPECT_EQ(cache.size(), 0u);
+}
+
+TEST(AdmissionContractTest, EveryDialectShapeAdmitsBound) {
+  TemplateCache cache;
+  for (const char* q :
+       {"SELECT V FROM T WHERE ID IN (1, 2, 3)",
+        "SELECT V FROM T WHERE ID = -4",
+        "SELECT V FROM T WHERE ID > 2 ORDER BY ID DESC LIMIT 5",
+        "SELECT V FROM T WHERE V LIKE '%ab%'",
+        "SELECT V FROM T WHERE ID BETWEEN 2 AND 9",
+        "SELECT V FROM T WHERE V IS NULL",
+        "SELECT COUNT(*) AS N FROM T WHERE V = 'x'",
+        "INSERT INTO T (ID, V) VALUES (7, 'q')",
+        "UPDATE T SET V = 'b' WHERE ID = 1", "DELETE FROM T WHERE ID = 3"}) {
+    // Twice: the first sight takes the full parse, the repeat the lex fast
+    // path; both must hand out the same bound form.
+    for (int pass = 0; pass < 2; ++pass) {
+      auto adm = cache.Admit(q);
+      ASSERT_TRUE(adm.ok()) << q;
+      EXPECT_TRUE(adm->preparable()) << q;
+      const BoundStatement stmt = adm->bound();
+      ASSERT_NE(stmt.tpl->statement, nullptr) << q;
+      EXPECT_EQ(static_cast<int>(stmt.params.size()),
+                stmt.tpl->info.num_placeholders)
+          << q;
+    }
+  }
+}
+
+TEST(AdmissionContractTest, MiddlewaresCountPlaceholderSqlWithoutGoingRemote) {
+  db::Database db;
+  db::Schema schema("T", {{"ID", common::ValueType::kInt},
+                          {"V", common::ValueType::kString}});
+  schema.AddIndex("PRIMARY", {"ID"});
+  ASSERT_TRUE(db.CreateTable(std::move(schema)).ok());
+  ASSERT_TRUE(db.Execute("INSERT INTO T (ID, V) VALUES (1, 'a')").ok());
+  const uint64_t executed_before = db.stats().queries_executed;
+  const std::string bad = "SELECT V FROM T WHERE ID = ?";
+
+  // Simulator: core::CachingMiddleware (through ApolloMiddleware).
+  sim::EventLoop loop;
+  net::RemoteDatabase remote(&loop, &db, net::RemoteDbConfig{});
+  cache::KvCache kv(1 << 20);
+  core::ApolloMiddleware mw(&loop, &remote, &kv, core::ApolloConfig{});
+  util::Status sim_status;
+  mw.SubmitQuery(0, bad, [&](util::Result<common::ResultSetPtr> rs) {
+    sim_status = rs.status();
+  });
+  loop.Run();
+  EXPECT_EQ(sim_status.code(), util::StatusCode::kInvalidArgument);
+  EXPECT_EQ(mw.stats().parse_errors, 1u);
+  EXPECT_EQ(remote.stats().queries, 0u);
+
+  // Threaded runtime: rt::ConcurrentApollo.
+  rt::ConcurrentApolloConfig cfg;
+  cfg.gateway.rtt = std::chrono::microseconds(0);
+  rt::ConcurrentApollo apollo(&db, cfg);
+  auto out = apollo.Execute(0, bad);
+  ASSERT_FALSE(out.ok());
+  EXPECT_EQ(out.status().code(), util::StatusCode::kInvalidArgument);
+  EXPECT_EQ(
+      apollo.observability().metrics.FindCounter("rt.parse_errors")->Value(),
+      1u);
+  EXPECT_EQ(apollo.gateway().pending_batches(), 0u);
+  apollo.Shutdown();
+
+  EXPECT_EQ(db.stats().queries_executed, executed_before);
 }
 
 }  // namespace
