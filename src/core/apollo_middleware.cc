@@ -27,7 +27,7 @@ ApolloMiddleware::ApolloMiddleware(sim::EventLoop* loop,
                                    const std::string& metric_prefix)
     : CachingMiddleware(loop, remote, cache, std::move(config), obs,
                         metric_prefix),
-      planner_(config_, &templates_) {
+      planner_(config_, &templates()) {
   planner_.AttachInstruments(
       {.fdqs_discovered = c_.fdqs_discovered,
        .fdqs_invalidated = c_.fdqs_invalidated,
@@ -87,7 +87,7 @@ void ApolloMiddleware::OnPredictionCompleted(ClientSession& session,
 }
 
 size_t ApolloMiddleware::LearningStateBytes() const {
-  size_t total = planner_.ApproximateBytes() + templates_.ApproximateBytes();
+  size_t total = planner_.ApproximateBytes() + templates().ApproximateBytes();
   for (const auto& [_, session] : sessions_) {
     total += session->stream.ApproximateBytes();
     total += session->satisfied.size() * 64;

@@ -1,16 +1,8 @@
 #include "core/caching_middleware.h"
 
-#include <chrono>
 #include <utility>
 
 namespace apollo::core {
-
-double WallMicrosSince(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now() - t0)
-             .count() /
-         1000.0;
-}
 
 CachingMiddleware::CachingMiddleware(sim::EventLoop* loop,
                                      net::RemoteDatabase* remote,
@@ -22,7 +14,13 @@ CachingMiddleware::CachingMiddleware(sim::EventLoop* loop,
       remote_(remote),
       cache_(cache),
       config_(std::move(config)),
-      station_(loop, config_.engine_servers) {
+      station_(loop, config_.engine_servers),
+      serving_(config_, cache_,
+               [this](ClientSession& session, uint64_t template_id,
+                      common::ResultSetPtr result, int depth) {
+                 OnPredictionCompleted(session, template_id,
+                                       std::move(result), depth);
+               }) {
   if (obs == nullptr) {
     owned_obs_ = std::make_unique<obs::Observability>();
     obs = owned_obs_.get();
@@ -64,10 +62,22 @@ CachingMiddleware::CachingMiddleware(sim::EventLoop* loop,
   lat_.learn_wall_us = m.RegisterHistogram(p + "latency.learn_wall_us");
   lat_.predict_wall_us =
       m.RegisterHistogram(p + "latency.predict_decide_wall_us");
-  lat_.admit_fast_wall_us =
-      m.RegisterHistogram(p + "latency.admit_fast_wall_us");
-  lat_.admit_full_wall_us =
-      m.RegisterHistogram(p + "latency.admit_full_wall_us");
+  serving_.AttachInstruments(
+      {.reads = c_.reads,
+       .writes = c_.writes,
+       .cache_hits = c_.cache_hits,
+       .cache_misses = c_.cache_misses,
+       .coalesced_waits = c_.coalesced_waits,
+       .subscriber_fallbacks = c_.subscriber_fallbacks,
+       .predictions_issued = c_.predictions_issued,
+       .skipped_invalid = c_.predictions_skipped_invalid,
+       .skipped_cached = c_.predictions_skipped_cached,
+       .skipped_inflight = c_.predictions_skipped_inflight,
+       .admit_fast_wall_us =
+           m.RegisterHistogram(p + "latency.admit_fast_wall_us"),
+       .admit_full_wall_us =
+           m.RegisterHistogram(p + "latency.admit_full_wall_us"),
+       .trace = &obs_->trace});
   // Registered only when a cap is on: default-config runs must export an
   // unchanged instrument set (bench byte-identity, DESIGN.md §11).
   if (config_.max_transition_edges > 0) {
@@ -76,19 +86,6 @@ CachingMiddleware::CachingMiddleware(sim::EventLoop* loop,
   if (config_.max_param_pairs > 0) {
     c_.learning_pruned_pairs = m.RegisterCounter(p + "learning_pruned_pairs");
   }
-}
-
-util::Result<sql::AdmittedQuery> CachingMiddleware::AdmitQuery(
-    const std::string& sql) {
-  const auto t0 = std::chrono::steady_clock::now();
-  auto adm = tcache_.Admit(sql);
-  const double wall = WallMicrosSince(t0);
-  if (adm.ok() && adm->via_fast_path) {
-    lat_.admit_fast_wall_us->Record(wall);
-  } else {
-    lat_.admit_full_wall_us->Record(wall);
-  }
-  return adm;
 }
 
 const MiddlewareStats& CachingMiddleware::stats() const {
@@ -121,17 +118,12 @@ const MiddlewareStats& CachingMiddleware::stats() const {
 }
 
 ClientSession& CachingMiddleware::SessionFor(ClientId client) {
-  auto it = sessions_.find(client);
-  if (it == sessions_.end()) {
-    it = sessions_
-             .emplace(client,
-                      std::make_unique<ClientSession>(client, config_))
-             .first;
-    if (c_.learning_pruned_edges != nullptr) {
-      it->second->stream.SetPruneCounter(c_.learning_pruned_edges);
-    }
+  auto& session = sessions_[client];
+  if (session == nullptr) {
+    session = std::make_unique<ClientSession>(client, config_,
+                                              c_.learning_pruned_edges);
   }
-  return *it->second;
+  return *session;
 }
 
 void CachingMiddleware::SubmitQuery(ClientId client, const std::string& sql,
@@ -146,19 +138,17 @@ void CachingMiddleware::SubmitQuery(ClientId client, const std::string& sql,
 
 void CachingMiddleware::ProcessQuery(ClientId client, const std::string& sql,
                                      QueryCallback callback) {
-  auto adm = AdmitQuery(sql);
+  auto adm = serving_.Admit(sql);
   if (!adm.ok()) {
     c_.parse_errors->Inc();
     callback(adm.status());
     return;
   }
   ClientSession& session = SessionFor(client);
-  util::SimTime submit_time = loop_->now();
   if (adm->read_only()) {
-    ExecuteRead(session, std::move(*adm), std::move(callback), submit_time);
+    ExecuteRead(session, std::move(*adm), std::move(callback));
   } else {
-    ExecuteWrite(session, std::move(*adm), std::move(callback),
-                 submit_time);
+    ExecuteWrite(session, std::move(*adm), std::move(callback));
   }
 }
 
@@ -168,84 +158,52 @@ void CachingMiddleware::FinishRead(ClientSession& session,
                                    bool from_cache,
                                    util::SimDuration remote_time,
                                    QueryCallback callback) {
-  TemplateMeta* meta = templates_.Get(adm.fingerprint());
-  if (meta != nullptr && remote_time > 0) meta->RecordExecution(remote_time);
   // Latency breakdown: every client read pays one cache round trip; reads
   // that went remote additionally record the observed WAN time.
   lat_.cache_us->Record(config_.cache_latency);
   if (remote_time > 0) lat_.wan_us->Record(remote_time);
   callback(result);
-  CompletedQuery cq;
-  cq.template_id = adm.fingerprint();
-  cq.meta = meta;
-  cq.canonical_text = adm.canonical_text;
-  cq.params = adm.params;
-  cq.result = std::move(result);
-  cq.read_only = true;
-  cq.from_cache = from_cache;
-  cq.remote_time = remote_time;
-  OnQueryCompleted(session, cq);
+  OnQueryCompleted(session, {.template_id = adm.fingerprint(),
+                             .meta = templates().Get(adm.fingerprint()),
+                             .canonical_text = adm.canonical_text,
+                             .params = adm.params,
+                             .result = std::move(result),
+                             .from_cache = from_cache,
+                             .remote_time = remote_time});
 }
 
 void CachingMiddleware::ExecuteRead(ClientSession& session,
                                     sql::AdmittedQuery adm,
-                                    QueryCallback callback,
-                                    util::SimTime submit_time) {
-  c_.reads->Inc();
-  TemplateMeta* meta = templates_.Intern(adm);
-  templates_.BumpObservations(meta);
-  if (meta->observations == 1) {
-    Trace(obs::TraceEventType::kTemplateDiscovered, session,
-          adm.fingerprint());
-  }
-
+                                    QueryCallback callback) {
+  serving_.Observe(session, adm);
   // One round trip to the shared cache.
-  loop_->After(config_.cache_latency, [this, &session,
-                                       adm = std::move(adm),
-                                       callback = std::move(callback),
-                                       submit_time]() mutable {
-    auto entry = cache_->GetCompatible(adm.canonical_text, session.vv,
-                                       adm.tables_read());
-    if (entry.has_value()) {
-      c_.cache_hits->Inc();
-      session.vv.MergeMax(entry->stamp, adm.tables_read());
+  loop_->After(config_.cache_latency, [this, &session, adm = std::move(adm),
+                                       callback =
+                                           std::move(callback)]() mutable {
+    if (auto entry = serving_.Lookup(session, adm)) {
       FinishRead(session, adm, entry->result, /*from_cache=*/true, 0,
                  std::move(callback));
       return;
     }
-    c_.cache_misses->Inc();
-    const std::string key = adm.canonical_text;
-
-    if (config_.enable_pubsub_dedup) {
-      bool leader = inflight_.BeginOrSubscribe(
-          key,
-          [this, &session, adm, callback](
-              const util::Result<common::ResultSetPtr>& result,
-              const cache::VersionVector& stamp) {
-            c_.coalesced_waits->Inc();
-            if (!result.ok()) {
-              if (result.status().IsRetryable()) {
-                // The leader died on a transport fault — often a predictive
-                // execution, which carries no retry budget. Client queries
-                // keep theirs: re-issue privately instead of inheriting the
-                // leader's failure.
-                c_.subscriber_fallbacks->Inc();
-                RemoteRead(session, adm, callback, /*publish=*/false);
-                return;
-              }
-              callback(result.status());
-              return;
-            }
-            for (const auto& t : adm.tables_read()) {
-              session.vv.AdvanceTo(t, stamp.Get(t));
-            }
-            FinishRead(session, adm, result.value(), /*from_cache=*/true,
-                       0, callback);
-          });
-      if (!leader) return;  // subscribed; the leader will publish
-    }
-
-    (void)submit_time;
+    const bool leader = serving_.JoinFlight(adm, [&] {
+      return [this, &session, adm, callback](
+                 const util::Result<common::ResultSetPtr>& result,
+                 const cache::VersionVector& stamp) {
+        switch (serving_.ReceivePublished(session, adm, result, stamp)) {
+          case ServingCore::Publication::kServe:
+            FinishRead(session, adm, result.value(), /*from_cache=*/true, 0,
+                       callback);
+            return;
+          case ServingCore::Publication::kFallBack:
+            RemoteRead(session, adm, callback, /*publish=*/false);
+            return;
+          case ServingCore::Publication::kFail:
+            callback(result.status());
+            return;
+        }
+      };
+    });
+    if (!leader) return;  // subscribed; the leader will publish
     RemoteRead(session, std::move(adm), std::move(callback),
                /*publish=*/true);
   });
@@ -254,35 +212,22 @@ void CachingMiddleware::ExecuteRead(ClientSession& session,
 void CachingMiddleware::RemoteRead(ClientSession& session,
                                    sql::AdmittedQuery adm,
                                    QueryCallback callback, bool publish) {
-  const std::string key = adm.canonical_text;
-  util::SimTime t0 = loop_->now();
+  const util::SimTime t0 = loop_->now();
   // Taken before the lambda capture moves `adm`.
   sql::BoundStatement stmt = adm.bound();
-  auto on_done = [this, &session, adm = std::move(adm), key,
+  auto on_done = [this, &session, adm = std::move(adm),
                   callback = std::move(callback), publish,
                   t0](util::Result<common::ResultSetPtr> result,
                       std::unordered_map<std::string, uint64_t> versions)
       mutable {
-    if (!result.ok()) {
-      callback(result.status());
-      if (publish) inflight_.Complete(key, result, {});
+    const util::SimDuration remote_time = loop_->now() - t0;
+    auto rs = serving_.LandRead(session, adm, result, versions, remote_time,
+                                /*put_time_us=*/0, publish);
+    if (!rs.ok()) {
+      callback(rs.status());
       return;
     }
-    cache::VersionVector stamp;
-    for (const auto& [t, v] : versions) stamp.Set(t, v);
-    util::SimDuration remote_time = loop_->now() - t0;
-    // The round trip this entry just paid is the miss cost a future hit
-    // saves; cost-aware eviction (DESIGN.md §13) weighs it.
-    cache::KvCache::PutAttrs attrs;
-    attrs.template_id = adm.fingerprint();
-    attrs.miss_cost_us = static_cast<double>(remote_time);
-    cache_->Put(key, *result, stamp, attrs);
-    for (const auto& t : adm.tables_read()) {
-      session.vv.AdvanceTo(t, stamp.Get(t));
-    }
-    common::ResultSetPtr rs = *result;
-    if (publish) inflight_.Complete(key, result, stamp);
-    FinishRead(session, adm, std::move(rs), /*from_cache=*/false,
+    FinishRead(session, adm, *rs, /*from_cache=*/false,
                remote_time, std::move(callback));
   };
   remote_->Execute(std::move(stmt), std::move(on_done));
@@ -290,46 +235,32 @@ void CachingMiddleware::RemoteRead(ClientSession& session,
 
 void CachingMiddleware::ExecuteWrite(ClientSession& session,
                                      sql::AdmittedQuery adm,
-                                     QueryCallback callback,
-                                     util::SimTime submit_time) {
-  c_.writes->Inc();
-  (void)submit_time;
-  TemplateMeta* meta = templates_.Intern(adm);
-  templates_.BumpObservations(meta);
-  if (meta->observations == 1) {
-    Trace(obs::TraceEventType::kTemplateDiscovered, session,
-          adm.fingerprint());
-  }
-  util::SimTime t0 = loop_->now();
+                                     QueryCallback callback) {
+  TemplateMeta* meta = serving_.Observe(session, adm);
+  const util::SimTime t0 = loop_->now();
   // Taken before the lambda capture moves `adm`.
   sql::BoundStatement stmt = adm.bound();
-  auto on_done = [this, &session, adm = std::move(adm),
+  auto on_done = [this, &session, meta, adm = std::move(adm),
                   callback = std::move(callback),
                   t0](util::Result<common::ResultSetPtr> result,
                       std::unordered_map<std::string, uint64_t> versions)
       mutable {
-    if (!result.ok()) {
-      callback(result.status());
+    const util::SimDuration remote_time = loop_->now() - t0;
+    auto out =
+        serving_.LandWrite(session, meta, result, versions, remote_time);
+    if (!out.ok()) {
+      callback(out.status());
       return;
     }
-    // The client has now observed the post-write versions of every
-    // table the statement touched (paper 3.2).
-    for (const auto& [t, v] : versions) session.vv.AdvanceTo(t, v);
-    util::SimDuration remote_time = loop_->now() - t0;
     lat_.wan_us->Record(remote_time);
-    TemplateMeta* meta = templates_.Get(adm.fingerprint());
-    if (meta != nullptr) meta->RecordExecution(remote_time);
-    callback(*result);
-    CompletedQuery cq;
-    cq.template_id = adm.fingerprint();
-    cq.meta = meta;
-    cq.canonical_text = adm.canonical_text;
-    cq.params = adm.params;
-    cq.result = nullptr;
-    cq.read_only = false;
-    cq.from_cache = false;
-    cq.remote_time = remote_time;
-    OnQueryCompleted(session, cq);
+    callback(*out);
+    OnQueryCompleted(session, {.template_id = adm.fingerprint(),
+                               .meta = meta,
+                               .canonical_text = adm.canonical_text,
+                               .params = adm.params,
+                               .result = nullptr,
+                               .read_only = false,
+                               .remote_time = remote_time});
   };
   remote_->Execute(std::move(stmt), std::move(on_done));
 }
@@ -346,78 +277,26 @@ void CachingMiddleware::PredictiveExecute(ClientSession& session,
           obs::SkipReason::kShed, static_cast<uint64_t>(depth));
     return;
   }
-  auto adm = AdmitQuery(sql);
-  if (!adm.ok() || !adm->read_only()) {
-    c_.predictions_skipped_invalid->Inc();
-    Trace(obs::TraceEventType::kPredictionSkipped, session, template_id,
-          obs::SkipReason::kInvalidSql, static_cast<uint64_t>(depth));
+  ArmedPrediction armed;
+  if (!serving_.Arm(session, {template_id, sql, depth, probability},
+                    session.Vv(), &armed)) {
     return;
   }
-  const std::string key = adm->canonical_text;
-  // Never predictively execute what is already usable from the cache
-  // (paper Section 4.3).
-  if (cache_->ContainsCompatible(key, session.vv, adm->tables_read())) {
-    c_.predictions_skipped_cached->Inc();
-    Trace(obs::TraceEventType::kPredictionSkipped, session, template_id,
-          obs::SkipReason::kCached, static_cast<uint64_t>(depth));
-    return;
-  }
-  if (config_.enable_pubsub_dedup) {
-    bool leader = inflight_.BeginOrSubscribe(
-        key, [this, &session, template_id, depth](
-                 const util::Result<common::ResultSetPtr>& result,
-                 const cache::VersionVector& stamp) {
-          (void)stamp;
-          if (result.ok()) {
-            OnPredictionCompleted(session, template_id, result.value(),
-                                  depth);
-          }
-        });
-    if (!leader) {
-      c_.predictions_skipped_inflight->Inc();
-      Trace(obs::TraceEventType::kPredictionSkipped, session, template_id,
-            obs::SkipReason::kInflight, static_cast<uint64_t>(depth));
-      return;
-    }
-  }
-  c_.predictions_issued->Inc();
-  Trace(obs::TraceEventType::kPredictionIssued, session, template_id,
-        obs::SkipReason::kNone, static_cast<uint64_t>(depth));
   station_.Submit(
       config_.engine_overhead_per_prediction,
-      [this, &session, template_id, key, depth, probability,
-       adm = std::move(*adm)]() mutable {
-        util::SimTime t0 = loop_->now();
+      [this, &session, armed = std::move(armed)]() mutable {
+        const util::SimTime t0 = loop_->now();
+        sql::BoundStatement stmt = armed.adm.bound();
         auto on_done =
-            [this, &session, template_id, key, depth, probability,
-             t0](util::Result<common::ResultSetPtr> result,
-                 std::unordered_map<std::string, uint64_t> versions) {
-              if (!result.ok()) {
-                inflight_.Complete(key, result, {});
-                return;
-              }
-              cache::VersionVector stamp;
-              for (const auto& [t, v] : versions) stamp.Set(t, v);
-              cache::KvCache::PutAttrs attrs;
-              attrs.predicted = true;
-              attrs.template_id = template_id;
-              attrs.miss_cost_us = static_cast<double>(loop_->now() - t0);
-              attrs.probability = probability;
-              cache_->Put(key, *result, stamp, attrs);
-              Trace(obs::TraceEventType::kPredictionCached, session,
-                    template_id, obs::SkipReason::kNone,
-                    static_cast<uint64_t>(depth));
-              TemplateMeta* meta = templates_.Get(template_id);
-              if (meta != nullptr) {
-                meta->RecordExecution(loop_->now() - t0);
-              }
-              common::ResultSetPtr rs = *result;
-              inflight_.Complete(key, result, stamp);
-              OnPredictionCompleted(session, template_id, std::move(rs),
-                                    depth);
+            [this, &session, armed = std::move(armed), t0](
+                util::Result<common::ResultSetPtr> result,
+                std::unordered_map<std::string, uint64_t> versions) {
+              serving_.LandPrediction(session, armed, result, versions,
+                                      loop_->now() - t0,
+                                      /*put_time_us=*/0);
             };
-        remote_->Execute({std::move(adm.tpl), std::move(adm.params)},
-                         std::move(on_done), /*predictive=*/true);
+        remote_->Execute(std::move(stmt), std::move(on_done),
+                         /*predictive=*/true);
       });
 }
 

@@ -1,32 +1,29 @@
-// CachingMiddleware: the shared edge-node machinery (paper Section 3).
+// CachingMiddleware: the shared edge-node machinery (paper Section 3) on the
+// deterministic event loop.
 //
 // Implements everything except prediction: per-client sessions with
-// version-vector consistency (3.2), the shared versioned LRU cache, the
+// version-vector consistency (3.2), the shared versioned cache, the
 // publish-subscribe single-flight registry (3.3), the middleware service
-// station (CPU model), and remote execution. Instantiated directly it *is*
-// the Memcached experimental configuration; ApolloMiddleware and
-// FidoMiddleware subclass it and add their prediction engines through the
-// OnQueryCompleted / OnPredictionCompleted hooks.
+// station (CPU model), and remote execution. The serving rule itself —
+// admission, lookup, subscriber validation, landing reads, writes and
+// predictions — is core::ServingCore, shared with rt::ConcurrentApollo
+// (DESIGN.md Section 19); this class is its event-loop transport.
+// Instantiated directly it *is* the Memcached experimental configuration;
+// ApolloMiddleware and FidoMiddleware subclass it and add their prediction
+// engines through the OnQueryCompleted / OnPredictionCompleted hooks.
 #pragma once
 
-#include <chrono>
 #include <memory>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "cache/kv_cache.h"
-#include "cache/version_vector.h"
 #include "core/config.h"
-#include "core/inflight_registry.h"
 #include "core/middleware.h"
-#include "core/query_stream.h"
-#include "core/template_registry.h"
+#include "core/serving_core.h"
 #include "net/remote_database.h"
 #include "obs/observability.h"
 #include "sim/service_station.h"
-#include "sql/template.h"
-#include "sql/template_cache.h"
 #include "util/status.h"
 
 namespace apollo::persist {
@@ -35,38 +32,6 @@ struct RestoreStats;
 }  // namespace apollo::persist
 
 namespace apollo::core {
-
-/// Real (wall) microseconds since `t0`, for the `*_wall_us` instruments.
-double WallMicrosSince(std::chrono::steady_clock::time_point t0);
-
-/// Per-client session state (paper Section 3.2). The stream/graphs members
-/// are populated only by learning subclasses.
-struct ClientSession {
-  explicit ClientSession(ClientId id_, const ApolloConfig& config)
-      : id(id_),
-        stream(config.delta_ts, config.max_stream_entries,
-               config.max_transition_edges) {}
-
-  ClientId id;
-  cache::VersionVector vv;
-
-  // Learning state (used by ApolloMiddleware).
-  QueryStream stream;
-  struct RecentExecution {
-    common::ResultSetPtr result;
-    util::SimTime time = 0;
-  };
-  /// Latest result set per read-only template (pipeline inputs, Section
-  /// 2.3-2.4).
-  std::unordered_map<uint64_t, RecentExecution> recent;
-  /// Last client execution time per template. Mapping observations are
-  /// scoped to source executions newer than the destination's previous
-  /// execution, so a query is never attributed to a stale source from an
-  /// earlier transaction that happens to sit inside delta-t.
-  std::unordered_map<uint64_t, util::SimTime> last_seen;
-  /// Per-FDQ satisfied-dependency sets (Algorithm 4 state).
-  std::unordered_map<uint64_t, std::unordered_set<uint64_t>> satisfied;
-};
 
 class CachingMiddleware : public Middleware {
  public:
@@ -91,9 +56,12 @@ class CachingMiddleware : public Middleware {
   const sim::ServiceStationStats& engine_station_stats() const {
     return station_.stats();
   }
-  const InflightRegistry& inflight() const { return inflight_; }
-  TemplateRegistry& templates() { return templates_; }
-  const sql::TemplateCache& template_cache() const { return tcache_; }
+  const InflightRegistry& inflight() const { return serving_.inflight(); }
+  TemplateRegistry& templates() { return serving_.templates(); }
+  const TemplateRegistry& templates() const { return serving_.templates(); }
+  const sql::TemplateCache& template_cache() const {
+    return serving_.template_cache();
+  }
   cache::KvCache* result_cache() { return cache_; }
   const ApolloConfig& config() const { return config_; }
 
@@ -149,40 +117,22 @@ class CachingMiddleware : public Middleware {
   /// Hook: a *client* query finished (result already delivered). Learning
   /// subclasses run their prediction routine here. Runs at the completion
   /// simulated time.
-  virtual void OnQueryCompleted(ClientSession& session,
-                                const CompletedQuery& query) {
-    (void)session;
-    (void)query;
-  }
+  virtual void OnQueryCompleted(ClientSession& /*session*/,
+                                const CompletedQuery& /*query*/) {}
 
   /// Hook: a predictive execution issued via PredictiveExecute finished
   /// and its result is cached. Used for pipelining.
-  virtual void OnPredictionCompleted(ClientSession& session,
-                                     uint64_t template_id,
-                                     common::ResultSetPtr result,
-                                     int depth) {
-    (void)session;
-    (void)template_id;
-    (void)result;
-    (void)depth;
-  }
+  virtual void OnPredictionCompleted(ClientSession& /*session*/,
+                                     uint64_t /*template_id*/,
+                                     common::ResultSetPtr /*result*/,
+                                     int /*depth*/) {}
 
-  /// Issues a predictive execution of `sql` on behalf of `session`.
-  /// Skips (with stats) when a compatible result is cached or the query is
-  /// already in flight. The result is cached and published; `depth` is the
-  /// pipeline depth for the completion hook. `template_id` may be 0 when
-  /// the caller predicts raw instances (Fido). `probability` is the
-  /// transition probability that motivated the prediction; it rides into
-  /// the cache entry so cost-aware eviction can weigh confidence
-  /// (DESIGN.md §13). 1.0 when the caller has no estimate.
+  /// Issues a predictive execution of `sql` on behalf of `session` (see
+  /// core::PredictionItem for the arguments): shed while the WAN is
+  /// degraded, otherwise armed and landed by the serving core.
   void PredictiveExecute(ClientSession& session, uint64_t template_id,
                          const std::string& sql, int depth,
                          double probability = 1.0);
-
-  /// Admits one query through the template cache (lex fast path with full
-  /// parse fallback), recording the real admission cost into the
-  /// admit_fast/admit_full wall histograms.
-  util::Result<sql::AdmittedQuery> AdmitQuery(const std::string& sql);
 
   ClientSession& SessionFor(ClientId client);
 
@@ -201,11 +151,7 @@ class CachingMiddleware : public Middleware {
   cache::KvCache* cache_;
   ApolloConfig config_;
   sim::ServiceStation station_;
-  InflightRegistry inflight_;
-  TemplateRegistry templates_;
-  /// Admission cache: template fingerprint fast path + prepared statements
-  /// (DESIGN.md Section 10). Steady state admits without building an AST.
-  sql::TemplateCache tcache_;
+  ServingCore serving_;
   std::unordered_map<ClientId, std::unique_ptr<ClientSession>> sessions_;
 
   /// Registry-backed instruments; MiddlewareStats is assembled from these
@@ -252,8 +198,6 @@ class CachingMiddleware : public Middleware {
     obs::HistogramMetric* wan_us;              // simulated, per remote trip
     obs::HistogramMetric* learn_wall_us;       // wall, per learning pass
     obs::HistogramMetric* predict_wall_us;     // wall, per predict-decide
-    obs::HistogramMetric* admit_fast_wall_us;  // wall, lex fast-path admits
-    obs::HistogramMetric* admit_full_wall_us;  // wall, full-parse admits
   };
   LatencyBreakdown lat_{};
 
@@ -263,15 +207,13 @@ class CachingMiddleware : public Middleware {
   void ProcessQuery(ClientId client, const std::string& sql,
                     QueryCallback callback);
   void ExecuteRead(ClientSession& session, sql::AdmittedQuery adm,
-                   QueryCallback callback, util::SimTime submit_time);
-  /// Issues a remote read on behalf of a client. When `publish` is set the
-  /// caller is the in-flight leader for the key and the outcome (success or
-  /// failure) is published through the registry; subscriber fallbacks pass
-  /// false and keep their result private.
+                   QueryCallback callback);
+  /// Issues a remote read for a client: the in-flight leader publishes its
+  /// outcome (`publish`), a subscriber's fallback keeps it private.
   void RemoteRead(ClientSession& session, sql::AdmittedQuery adm,
                   QueryCallback callback, bool publish);
   void ExecuteWrite(ClientSession& session, sql::AdmittedQuery adm,
-                    QueryCallback callback, util::SimTime submit_time);
+                    QueryCallback callback);
   void FinishRead(ClientSession& session, const sql::AdmittedQuery& adm,
                   common::ResultSetPtr result, bool from_cache,
                   util::SimDuration remote_time, QueryCallback callback);

@@ -80,9 +80,11 @@ class TemplateRegistry {
   uint64_t total_observations() const {
     return total_observations_.load(std::memory_order_relaxed);
   }
-  void BumpObservations(TemplateMeta* meta) {
-    meta->observations.fetch_add(1, std::memory_order_relaxed);
+  /// Counts one stream observation of `meta`; returns the count before
+  /// it, so of racing first sightings exactly one caller sees 0.
+  uint64_t BumpObservations(TemplateMeta* meta) {
     total_observations_.fetch_add(1, std::memory_order_relaxed);
+    return meta->observations.fetch_add(1, std::memory_order_relaxed);
   }
 
   size_t size() const {

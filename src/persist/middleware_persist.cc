@@ -87,7 +87,7 @@ namespace apollo::core {
 
 void CachingMiddleware::CollectPersistSections(persist::SnapshotWriter* w) {
   w->AddSection(persist::kSectionTemplates,
-                persist::EncodeTemplates(templates_.ExportState()));
+                persist::EncodeTemplates(templates().ExportState()));
 
   persist::SessionsState sessions;
   sessions.sessions.reserve(sessions_.size());
@@ -123,7 +123,7 @@ util::Status CachingMiddleware::RestoreSection(
       core::TemplateRegistry::State st;
       APOLLO_ASSIGN_OR_RETURN(st, persist::DecodeTemplates(payload));
       stats->templates += st.templates.size();
-      templates_.ImportState(st);
+      templates().ImportState(st);
       return util::Status::OK();
     }
     case persist::kSectionSessions:

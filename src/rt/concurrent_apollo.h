@@ -3,12 +3,14 @@
 // The simulator runs the whole middleware on one deterministic event
 // loop; this adapter runs the same pipeline — versioned result cache,
 // session consistency, publish-subscribe single-flight — with hardware
-// parallelism. Every learning and prediction decision (mapping discovery,
-// FDQ/ADQ discovery, freshness-gated pipelined prediction, informed ADQ
-// reload) is made by core::PredictionPlanner, the same code the simulator
-// runs (DESIGN.md Section 17). This class owns what is runtime-specific:
-// learn shards and session locks, the brownout veto and overload gates,
-// batching and the transport:
+// parallelism. The serving rule (admission, lookup, subscriber
+// validation, landing reads, writes and predictions) is
+// core::ServingCore (DESIGN.md Section 19), and every learning and
+// prediction decision (mapping discovery, FDQ/ADQ discovery,
+// freshness-gated pipelined prediction, informed ADQ reload) is made by
+// core::PredictionPlanner (Section 17): the same code the simulator runs.
+// This class owns what is runtime-specific: learn shards, the brownout
+// veto and overload gates, batching and the transport:
 //
 //   - Per-session client worker threads call Execute() synchronously.
 //     The serving path (cache lookup, version-vector math, remote round
@@ -59,10 +61,10 @@
 #include <vector>
 
 #include "cache/kv_cache.h"
-#include "core/caching_middleware.h"
 #include "core/config.h"
 #include "core/inflight_registry.h"
 #include "core/prediction_planner.h"
+#include "core/serving_core.h"
 #include "core/template_registry.h"
 #include "db/database.h"
 #include "obs/observability.h"
@@ -206,12 +208,16 @@ class ConcurrentApollo {
 
   obs::Observability& observability() { return *obs_; }
   cache::KvCache& result_cache() { return cache_; }
-  core::TemplateRegistry& templates() { return templates_; }
-  const sql::TemplateCache& template_cache() const { return tcache_; }
+  core::TemplateRegistry& templates() { return serving_.templates(); }
+  const sql::TemplateCache& template_cache() const {
+    return serving_.template_cache();
+  }
   const core::DependencyGraph& dependency_graph() const {
     return planner_.dependency_graph();
   }
-  const core::InflightRegistry& inflight() const { return inflight_; }
+  const core::InflightRegistry& inflight() const {
+    return serving_.inflight();
+  }
   ThreadPool& pool() { return pool_; }
   DbGateway& gateway() { return gateway_; }
   /// Null unless overload control is enabled.
@@ -231,31 +237,6 @@ class ConcurrentApollo {
   util::SimTime NowUs() const;
 
  private:
-  /// A session plus the mutex that guards it (vv, stream, recent results,
-  /// learning scratch state). core::ClientSession is the type the
-  /// simulator uses too, so the one PredictionPlanner serves both.
-  struct Session {
-    Session(core::ClientId id, const core::ApolloConfig& config)
-        : core(id, config) {}
-    /// Copies of the vectors below, taken under `mu`.
-    cache::VersionVector Vv() {
-      std::lock_guard<std::mutex> lock(mu);
-      return core.vv;
-    }
-    cache::VersionVector WrittenVv() {
-      std::lock_guard<std::mutex> lock(mu);
-      return written_vv;
-    }
-    std::mutex mu;
-    core::ClientSession core;
-    /// Versions this session has itself written (a floor under the full
-    /// vv). Brownout serve-stale (L3) relaxes monotonic reads but never
-    /// read-your-writes: stale entries must still dominate this vector.
-    /// Lives here, not in core::ClientSession, which is shared verbatim
-    /// with the event-loop engine.
-    cache::VersionVector written_vv;
-  };
-
   /// What the single-flight registry publishes to subscribers.
   struct Published {
     util::Result<common::ResultSetPtr> result =
@@ -263,85 +244,38 @@ class ConcurrentApollo {
     cache::VersionVector stamp;
   };
 
-  /// One decided predictive execution (instantiated SQL), collected when
-  /// a plan is active instead of being dispatched as its own pool task +
-  /// round trip.
-  struct PredictionItem {
-    uint64_t template_id = 0;
-    std::string sql;
-    int depth = 0;
-    double probability = 0.0;
-  };
-
   /// Collector for one trigger's whole prediction fan-out: decided
   /// executions (batched issue) and the FDQs the planner deferred because
   /// they need the pending trigger's result rows (re-tried by the
   /// post-pass once the result lands).
   struct PredictionPlan {
-    std::vector<PredictionItem> items;
+    std::vector<core::PredictionItem> items;
     std::vector<const core::Fdq*> deferred;
   };
 
   /// Planner sink: brownout veto + plan/dispatch transport.
   class PlanSink;
 
-  /// A prediction item that passed admission, the cache check and
-  /// single-flight leadership, ready for its round trip.
-  struct ArmedPrediction {
-    PredictionItem item;
-    sql::AdmittedQuery adm;
-  };
+  core::ClientSession& SessionFor(core::ClientId client);
 
-  Session& SessionFor(core::ClientId client);
-
-  /// Admits one query through the template cache (lex fast path with full
-  /// parse fallback), recording the real admission cost into the
-  /// admit_fast/admit_full wall histograms.
-  util::Result<sql::AdmittedQuery> AdmitQuery(const std::string& sql);
-
-  util::Result<common::ResultSetPtr> ExecuteRead(Session& session,
+  util::Result<common::ResultSetPtr> ExecuteRead(core::ClientSession& session,
                                                  sql::AdmittedQuery adm,
                                                  Deadline deadline);
-  util::Result<common::ResultSetPtr> ExecuteWrite(Session& session,
+  util::Result<common::ResultSetPtr> ExecuteWrite(core::ClientSession& session,
                                                   sql::AdmittedQuery adm,
                                                   Deadline deadline);
-  /// A cache hit (fresh, or L3 stale-within-bound): acknowledges the
-  /// entry's stamp, runs the learning pass and returns the result.
-  util::Result<common::ResultSetPtr> ServeCached(
-      Session& session, const sql::AdmittedQuery& adm,
-      const cache::CacheEntry& entry);
-  /// Leader / fallback remote read: round trip, cache fill, vv advance,
-  /// publish (when `publish`), learning pass. Dispatches to
-  /// BatchedRemoteRead when batch_wan is on.
-  util::Result<common::ResultSetPtr> RemoteRead(Session& session,
+  /// Leader (`publish`) or fallback remote read. With batch_wan: pre-issue
+  /// learning pass, then ONE round trip carrying the client query plus
+  /// every co-issued prediction, then the post-pass (result into
+  /// `recent`, deferred predictions re-tried).
+  util::Result<common::ResultSetPtr> RemoteRead(core::ClientSession& session,
                                                 const sql::AdmittedQuery& adm,
                                                 bool publish,
                                                 Deadline deadline);
-  /// batch_wan leader read: pre-issue learning pass, then ONE round trip
-  /// carrying the client query plus every co-issued prediction, then the
-  /// post-pass (result into `recent`, deferred predictions re-tried).
-  util::Result<common::ResultSetPtr> BatchedRemoteRead(
-      Session& session, const sql::AdmittedQuery& adm, bool publish,
-      Deadline deadline);
-  /// One unbatched client statement: a gateway round trip the calling
-  /// client thread blocks on.
-  RemoteResult SendOne(Session& session, const sql::AdmittedQuery& adm,
-                       Deadline deadline);
-  /// Lands a client read's round trip: cache fill, session-vector advance
-  /// and (when `publish`) the single-flight outcome. Returns the result
-  /// or the trip's error.
-  util::Result<common::ResultSetPtr> LandRemoteRead(
-      Session& session, const sql::AdmittedQuery& adm, const RemoteResult& rr,
-      util::SimDuration remote_time, bool publish);
-  /// Lands a client write's round trip: session vector and own-writes
-  /// floor advance, runtime statistics, the on_write hook.
-  util::Result<common::ResultSetPtr> LandWrite(Session& session,
-                                               core::TemplateMeta* meta,
-                                               const RemoteResult& rr,
-                                               util::SimDuration remote_time);
-  /// Post-completion bookkeeping + learning for a finished client read.
-  void FinishRead(Session& session, const sql::AdmittedQuery& adm,
-                  common::ResultSetPtr result, util::SimDuration remote_time);
+  /// Learning pass for a read served from a hit, a subscription or an
+  /// unbatched trip.
+  void FinishRead(core::ClientSession& session, const sql::AdmittedQuery& adm,
+                  const common::ResultSetPtr& result);
 
   /// Locks the learn shard owning `session_key`, recording the wait into
   /// the aggregate and (when sharding is on) per-shard wait histograms.
@@ -357,59 +291,49 @@ class ConcurrentApollo {
   /// batch_wan pre-issue pass, which passes its own template as
   /// `pending_fresh` (its result lands on this round trip). `plan` null =
   /// dispatch each prediction to the pool.
-  void OnQueryCompleted(Session& session, const sql::AdmittedQuery& adm,
+  void OnQueryCompleted(core::ClientSession& session,
+                        const sql::AdmittedQuery& adm,
                         const common::ResultSetPtr& result,
                         uint64_t pending_fresh, PredictionPlan* plan);
-  void OnPredictionCompleted(Session& session, uint64_t template_id,
+  void OnPredictionCompleted(core::ClientSession& session,
+                             uint64_t template_id,
                              common::ResultSetPtr result, int depth);
   /// Drops per-session satisfied state for a removed FDQ across all OTHER
   /// sessions. Called by the disproving session AFTER releasing its own
   /// session.mu (it erases its own entry inline): acquiring another
   /// session's mu while holding one's own could deadlock two sharded
   /// learners against each other (DESIGN.md Section 14).
-  void ClearSatisfiedOthers(uint64_t fdq_id, Session* self);
+  void ClearSatisfiedOthers(uint64_t fdq_id, core::ClientSession* self);
 
-  /// Dispatches one predictive execution to the pool (sheds at the
-  /// backpressure watermark). Unbatched (batch_wan off) transport; the
-  /// task sleeps the round trip inline. Called with the shard held.
-  void PredictiveExecute(Session& session, PredictionItem item);
-  /// Pool-task body for an unbatched predictive execution: arm, one
-  /// inline round trip, finish.
-  void RunPrediction(Session& session, const PredictionItem& item);
+  /// Unbatched transport: one pool task (shed at the watermark) arms the
+  /// item and sleeps its round trip inline. Called with the shard held.
+  void PredictiveExecute(core::ClientSession& session,
+                         core::PredictionItem item);
 
-  /// Batched transport: submits ONE kPredictive pool task that arms every
-  /// item and issues them as batched round trips with Then-continuation
-  /// completions. Sheds the whole plan at the watermark. Called WITHOUT
-  /// shard or session locks held.
-  void IssuePredictionPlan(Session& session,
-                           std::vector<PredictionItem> items);
-  /// Pool-task body: arm + batch + register continuations.
-  void RunPredictionBatch(Session& session,
-                          std::vector<PredictionItem> items);
-  /// Admission + cache-skip + single-flight leadership for one item
-  /// (both transports). False = skipped, counters and trace recorded.
-  /// `vv_check` is the vector to test cache compatibility against (the
-  /// co-issue path advances it to what the trigger's round trip is about
-  /// to make the session see).
-  bool ArmPrediction(Session& session, const PredictionItem& item,
-                     const cache::VersionVector& vv_check,
-                     ArmedPrediction* out);
+  /// Batched transport: ONE kPredictive pool task (the whole plan is shed
+  /// at the watermark) arms every item and sends them in batches. Called
+  /// WITHOUT shard or session locks held.
+  void IssuePredictionPlan(core::ClientSession& session,
+                           std::vector<core::PredictionItem> items);
+  void RunPredictionBatch(core::ClientSession& session,
+                          std::vector<core::PredictionItem> items);
   /// One batched round trip carrying a client `trigger` statement plus
   /// as many of `items` as fit under max_batch_statements (armed against
-  /// `vv_check`, each counted issued); the rest go out through
-  /// IssuePredictionPlan. Returns the trigger's future; `t0` receives the
-  /// issue time.
-  Future<RemoteResult> CoIssue(Session& session, sql::BoundStatement trigger,
-                               std::vector<PredictionItem> items,
+  /// `vv_check`); the rest go out through IssuePredictionPlan. Returns the
+  /// trigger's future; `t0` receives the issue time.
+  Future<RemoteResult> CoIssue(core::ClientSession& session,
+                               sql::BoundStatement trigger,
+                               std::vector<core::PredictionItem> items,
                                const cache::VersionVector& vv_check,
                                Deadline deadline,
                                std::chrono::steady_clock::time_point* t0);
-  /// Run when an armed prediction's result lands (both transports): cache
-  /// fill, single-flight publish, learning. Batched completions run it on
-  /// a pool thread via Future::Then.
-  void FinishPrediction(Session& session, const ArmedPrediction& armed,
-                        std::chrono::steady_clock::time_point t0,
-                        const RemoteResult& rr);
+  /// Sends one batch whose trailing statements are `armed` predictions
+  /// and lands each on a pool thread via Future::Then. Returns every
+  /// statement's future.
+  std::vector<Future<RemoteResult>> SendBatch(
+      core::ClientSession& session, std::vector<sql::BoundStatement> stmts,
+      std::vector<core::ArmedPrediction> armed, Deadline deadline,
+      std::chrono::steady_clock::time_point t0);
   /// Consistent learned-state copy (all learn shards + session locks, the
   /// CheckpointNow discipline) encoded to a serialized snapshot image.
   /// Lock-hold wall time is reported through `copy_wall_us` when non-null.
@@ -442,11 +366,7 @@ class ConcurrentApollo {
   obs::Observability* obs_;
 
   cache::KvCache cache_;
-  core::TemplateRegistry templates_;
-  /// Admission cache: template fingerprint fast path + prepared statements
-  /// (DESIGN.md Section 10). Steady state admits without building an AST.
-  sql::TemplateCache tcache_;
-  core::InflightRegistry inflight_;
+  core::ServingCore serving_;
   core::PredictionPlanner planner_;
   /// Non-null iff overload control is enabled. Declared (and constructed)
   /// BEFORE pool_: the pool's workers may invoke the sojourn callback as
@@ -456,7 +376,8 @@ class ConcurrentApollo {
   DbGateway gateway_;
 
   std::mutex sessions_mu_;
-  std::unordered_map<core::ClientId, std::unique_ptr<Session>> sessions_;
+  std::unordered_map<core::ClientId, std::unique_ptr<core::ClientSession>>
+      sessions_;
 
   /// Striped learn-lock table (see file comment): shard i serializes the
   /// learning/predict-decide stage of the sessions with id % size == i.
@@ -487,14 +408,7 @@ class ConcurrentApollo {
 
   struct Counters {
     obs::Counter* queries;
-    obs::Counter* reads;
-    obs::Counter* writes;
-    obs::Counter* cache_hits;
-    obs::Counter* cache_misses;
-    obs::Counter* coalesced_waits;
     obs::Counter* parse_errors;
-    obs::Counter* subscriber_fallbacks;
-    obs::Counter* predictions_issued;
     obs::Counter* predictions_shed;
     obs::Counter* predictions_skipped;
     obs::Counter* adq_reloads;
@@ -504,8 +418,6 @@ class ConcurrentApollo {
   Counters c_{};
   obs::HistogramMetric* query_wall_us_;       // client-observed latency
   obs::HistogramMetric* learn_lock_wait_wall_us_;  // aggregate over shards
-  obs::HistogramMetric* admit_fast_wall_us_;  // lex fast-path admits
-  obs::HistogramMetric* admit_full_wall_us_;  // full-parse admits
 
   // Persistence + bounded-memory instruments; registered only when the
   // corresponding feature is on, so default configs export exactly the

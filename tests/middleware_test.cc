@@ -162,6 +162,54 @@ TEST_F(MiddlewareTest, PubSubDisabledExecutesIndependently) {
   EXPECT_EQ(remote->stats().queries, 3u);
 }
 
+// A subscriber is never served a result older than its own session's view
+// (paper 3.2 over 3.3). Client 1's 50-row scan becomes the leader and
+// executes at the origin before client 0's update of C_ID 7, but its 40 ms
+// of service make it land after the update's ack. Client 0 then reads the
+// same query and coalesces onto the leader: the published stamp trails
+// client 0's vector, so the read re-issues privately and sees the update.
+TEST_F(MiddlewareTest, CoalescedReadAfterOwnWriteFallsBackToFreshResult) {
+  net::RemoteDbConfig cfg;
+  cfg.rtt = sim::LatencyModel::Constant(kRtt);
+  cfg.exec_per_row = util::Millis(1);
+  net::RemoteDatabase remote(&loop_, &db_, cfg);
+  CachingMiddleware mw(&loop_, &remote, &cache_, ApolloConfig());
+  const std::string scan =
+      "SELECT C_ID, C_UNAME FROM CUSTOMER WHERE C_UNAME LIKE '%7'";
+  common::ResultSetPtr leader_rs;
+  common::ResultSetPtr follower_rs;
+  mw.SubmitQuery(1, scan, [&](util::Result<common::ResultSetPtr> rs) {
+    ASSERT_TRUE(rs.ok());
+    leader_rs = *rs;
+  });
+  loop_.After(util::Millis(1), [&] {
+    mw.SubmitQuery(
+        0, "UPDATE CUSTOMER SET C_UNAME = 'renamed7' WHERE C_ID = 7",
+        [&](util::Result<common::ResultSetPtr> w) {
+          ASSERT_TRUE(w.ok());
+          EXPECT_TRUE(leader_rs == nullptr) << "leader landed before the ack";
+          mw.SubmitQuery(0, scan, [&](util::Result<common::ResultSetPtr> rs) {
+            ASSERT_TRUE(rs.ok());
+            follower_rs = *rs;
+          });
+        });
+  });
+  loop_.Run();
+
+  auto name_of_7 = [](const common::ResultSetPtr& rs) {
+    for (size_t r = 0; r < rs->num_rows(); ++r) {
+      if (rs->At(r, 0).AsInt() == 7) return rs->At(r, 1).AsString();
+    }
+    return std::string("missing");
+  };
+  ASSERT_TRUE(leader_rs != nullptr);
+  ASSERT_TRUE(follower_rs != nullptr);
+  EXPECT_EQ(name_of_7(leader_rs), "user7");  // executed before the update
+  EXPECT_EQ(name_of_7(follower_rs), "renamed7");
+  EXPECT_EQ(mw.stats().coalesced_waits, 1u);
+  EXPECT_EQ(mw.stats().subscriber_fallbacks, 1u);
+}
+
 TEST_F(MiddlewareTest, ParseErrorsPropagate) {
   auto remote = MakeRemote();
   CachingMiddleware mw(&loop_, remote.get(), &cache_, ApolloConfig());

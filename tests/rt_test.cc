@@ -342,6 +342,114 @@ TEST_F(ConcurrentApolloTest, GatewayReadStampNeverNewerThanData) {
   writer.join();
 }
 
+TEST_F(ConcurrentApolloTest, RacingFirstSightsDiscoverTemplateOnce) {
+  // Eight sessions see one template for the first time at once; the
+  // pre-increment observation count elects exactly one discoverer.
+  obs::Observability obs;
+  obs.trace.set_enabled(true);
+  rt::ConcurrentApollo apollo(&db_, Config(std::chrono::microseconds(200)),
+                              &obs);
+  constexpr int kThreads = 8;
+  std::mutex mu;
+  std::condition_variable cv;
+  int arrived = 0;
+  bool go = false;
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      {
+        std::unique_lock<std::mutex> lock(mu);
+        if (++arrived == kThreads) {
+          go = true;
+          cv.notify_all();
+        } else {
+          cv.wait(lock, [&] { return go; });
+        }
+      }
+      EXPECT_TRUE(apollo
+                      .Execute(t, "SELECT I_STOCK FROM ITEM WHERE I_ID = " +
+                                      std::to_string(t))
+                      .ok());
+    });
+  }
+  for (auto& w : workers) w.join();
+  apollo.Shutdown();
+  int discovered = 0;
+  for (const obs::TraceEvent& e : obs.trace.Events()) {
+    if (e.type == obs::TraceEventType::kTemplateDiscovered) ++discovered;
+  }
+  EXPECT_EQ(discovered, 1);
+  EXPECT_EQ(apollo.templates().total_observations(),
+            static_cast<uint64_t>(kThreads));
+}
+
+// The simulator's CoalescedReadAfterOwnWriteFallsBackToFreshResult on real
+// threads. The gateway runs a statement at the end of its round trip and
+// the leader publishes right after, so here the session's floor rises
+// while its read waits: client 0's update was acked at another edge and
+// the cluster imports its post-write versions (ImportSessionVv). The
+// leader executes before the update reaches the origin; its stamp trails
+// client 0's vector, so client 0 re-issues privately and sees the update.
+TEST(ConcurrentApolloServingTest, CoalescedReadAfterOwnWriteFallsBack) {
+  db::Database db;
+  {
+    db::Schema s("CUSTOMER", {{"C_ID", common::ValueType::kInt},
+                              {"C_UNAME", common::ValueType::kString}});
+    s.AddIndex("PRIMARY", {"C_ID"});
+    ASSERT_TRUE(db.CreateTable(std::move(s)).ok());
+  }
+  for (int i = 1; i <= 50; ++i) {
+    ASSERT_TRUE(db.GetTable("CUSTOMER")
+                    ->Insert({common::Value::Int(i),
+                              common::Value::Str("user" + std::to_string(i))})
+                    .ok());
+  }
+  rt::ConcurrentApolloConfig cfg;
+  cfg.pool.num_threads = 4;
+  cfg.gateway.rtt = std::chrono::milliseconds(400);
+  rt::ConcurrentApollo apollo(&db, cfg);
+  const std::string scan =
+      "SELECT C_ID, C_UNAME FROM CUSTOMER WHERE C_UNAME LIKE '%7'";
+  auto wait_for = [](auto done) {
+    for (int i = 0; i < 20000 && !done(); ++i) {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+    return done();
+  };
+
+  util::Result<common::ResultSetPtr> leader_rs = common::ResultSetPtr();
+  std::thread leader([&] { leader_rs = apollo.Execute(1, scan); });
+  ASSERT_TRUE(wait_for([&] { return apollo.inflight().num_inflight() == 1; }));
+  util::Result<common::ResultSetPtr> follower_rs = common::ResultSetPtr();
+  std::thread follower([&] { follower_rs = apollo.Execute(0, scan); });
+  ASSERT_TRUE(wait_for([&] { return apollo.inflight().coalesced() == 1; }));
+  cache::VersionVector floor;
+  floor.Set("CUSTOMER", db.TableVersion("CUSTOMER") + 1);
+  apollo.ImportSessionVv(0, floor, floor);
+  leader.join();
+  // The leader published its pre-update result; the update lands at the
+  // origin before client 0's private re-issue gets there.
+  ASSERT_TRUE(
+      db.Execute("UPDATE CUSTOMER SET C_UNAME = 'renamed7' WHERE C_ID = 7")
+          .ok());
+  follower.join();
+  apollo.Shutdown();
+
+  auto name_of_7 = [](const common::ResultSetPtr& rs) {
+    for (size_t r = 0; r < rs->num_rows(); ++r) {
+      if (rs->At(r, 0).AsInt() == 7) return rs->At(r, 1).AsString();
+    }
+    return std::string("missing");
+  };
+  ASSERT_TRUE(leader_rs.ok());
+  ASSERT_TRUE(follower_rs.ok());
+  EXPECT_EQ(name_of_7(*leader_rs), "user7");
+  EXPECT_EQ(name_of_7(*follower_rs), "renamed7");
+  auto& m = apollo.observability().metrics;
+  EXPECT_EQ(m.FindCounter("rt.coalesced_waits")->Value(), 1u);
+  EXPECT_EQ(m.FindCounter("rt.subscriber_fallbacks")->Value(), 1u);
+}
+
 // --------------------------------------------------------------------------
 // Crash-tolerant learned state in the runtime (DESIGN.md §11): the
 // background checkpointer takes copy-then-write snapshots under the

@@ -200,14 +200,17 @@ TEST_F(ShardBatchParityTest, ShardedBatchedMatchesSingleLockUnbatched) {
 // Cross-runtime parity: the event-loop simulator and the threaded runtime
 // run the same PredictionPlanner, so one correlated trace replayed through
 // both (single-threaded, drained between queries, one wide delta-t) must
-// leave the same prediction-lifecycle event types in each TraceLog and the
-// same FDQ discovery / invalidation counts.
+// leave the same prediction-lifecycle event types in each TraceLog (the
+// planner's decisions and the serving core's discovery, issue and cache
+// fill) and the same template discovery and FDQ discovery / invalidation
+// counts.
 // --------------------------------------------------------------------------
 
 class CrossRuntimeParityTest : public ScalingFixture {
  protected:
   struct Outcome {
     std::set<std::string> events;  // "type" or "prediction_skipped:reason"
+    uint64_t templates_discovered = 0;
     uint64_t fdqs_discovered = 0;
     uint64_t fdqs_invalidated = 0;
   };
@@ -265,19 +268,30 @@ class CrossRuntimeParityTest : public ScalingFixture {
           out.insert(std::string(obs::TraceLog::TypeName(e.type)) + ":" +
                      obs::TraceLog::ReasonName(e.reason));
           break;
+        case obs::TraceEventType::kTemplateDiscovered:
         case obs::TraceEventType::kFdqTagged:
         case obs::TraceEventType::kAdqTagged:
         case obs::TraceEventType::kAdqRevoked:
         case obs::TraceEventType::kFdqInvalidated:
         case obs::TraceEventType::kMappingDisproven:
+        case obs::TraceEventType::kPredictionIssued:
+        case obs::TraceEventType::kPredictionCached:
         case obs::TraceEventType::kAdqReload:
           out.insert(obs::TraceLog::TypeName(e.type));
           break;
         default:
-          break;  // cache-side lifecycle (issued/cached/hit/...) is sim-only
+          break;
       }
     }
     return out;
+  }
+
+  static uint64_t TemplatesDiscovered(const obs::TraceLog& trace) {
+    uint64_t n = 0;
+    for (const obs::TraceEvent& e : trace.Events()) {
+      if (e.type == obs::TraceEventType::kTemplateDiscovered) ++n;
+    }
+    return n;
   }
 
   Outcome RunSimulator() {
@@ -295,7 +309,7 @@ class CrossRuntimeParityTest : public ScalingFixture {
       mw.SubmitQuery(client, sql, [](auto) {});
       loop.Run();
     }
-    return {LifecycleEvents(obs.trace),
+    return {LifecycleEvents(obs.trace), TemplatesDiscovered(obs.trace),
             obs.metrics.FindCounter("mw.fdqs_discovered")->Value(),
             obs.metrics.FindCounter("mw.fdqs_invalidated")->Value()};
   }
@@ -317,7 +331,7 @@ class CrossRuntimeParityTest : public ScalingFixture {
       Drain(apollo);
     }
     apollo.Shutdown();
-    return {LifecycleEvents(obs.trace),
+    return {LifecycleEvents(obs.trace), TemplatesDiscovered(obs.trace),
             obs.metrics.FindCounter("rt.fdqs_discovered")->Value(),
             obs.metrics.FindCounter("rt.fdqs_invalidated")->Value()};
   }
@@ -330,8 +344,9 @@ TEST_F(CrossRuntimeParityTest, SameLifecycleEventsAsSimulator) {
   // keeps the graphs empty here, so prediction_test and planner_test
   // cover them with controlled clocks instead.)
   for (const char* want :
-       {"fdq_tagged", "adq_tagged", "adq_reload", "mapping_disproven",
-        "fdq_invalidated", "prediction_skipped:incomplete_sources"}) {
+       {"template_discovered", "fdq_tagged", "adq_tagged", "adq_reload",
+        "mapping_disproven", "fdq_invalidated", "prediction_issued",
+        "prediction_cached", "prediction_skipped:incomplete_sources"}) {
     EXPECT_EQ(sim.events.count(want), 1u) << "simulator never emitted " << want;
   }
   EXPECT_GT(sim.fdqs_invalidated, 0u);
@@ -339,6 +354,7 @@ TEST_F(CrossRuntimeParityTest, SameLifecycleEventsAsSimulator) {
     SCOPED_TRACE(batch_wan ? "batch_wan" : "unbatched");
     const Outcome rt = RunThreaded(batch_wan);
     EXPECT_EQ(sim.events, rt.events);
+    EXPECT_EQ(sim.templates_discovered, rt.templates_discovered);
     EXPECT_EQ(sim.fdqs_discovered, rt.fdqs_discovered);
     EXPECT_EQ(sim.fdqs_invalidated, rt.fdqs_invalidated);
   }

@@ -3,12 +3,15 @@
 #
 #   tools/figures.sh <build-dir> <out-dir>
 #
-# Builds fig5a_tpcw_scalability, overhead_stats and outage_recovery in
-# Release into <build-dir>, runs each in a temporary directory (so files the
-# benches write, such as BENCH_admission.json, land nowhere) and writes its
-# stdout to <out-dir>/<bench>.txt with the wall-clock "(wall)" lines
-# removed. Every other line is simulated and deterministic, so two commits
-# that must not move the figures produce identical files:
+# Builds fig5a_tpcw_scalability, overhead_stats, outage_recovery and
+# warm_restart in Release into <build-dir>, runs each in a temporary
+# directory (so files the benches write, such as BENCH_admission.json, land
+# nowhere) and writes its stdout to <out-dir>/<bench>.txt with the
+# wall-clock "(wall)" lines removed. warm_restart runs a short 6+2 minute
+# schedule, and the sha256 of the learned-state snapshot it writes goes to
+# <out-dir>/warm_restart.snapshot.sha256, so snapshot bytes are compared
+# too. Every other line is simulated and deterministic, so two commits that
+# must not move the figures produce identical files:
 #
 #   tools/figures.sh build-fig-base out-base   # at the base commit
 #   tools/figures.sh build-fig-head out-head   # at the head commit
@@ -22,9 +25,10 @@ fi
 
 src="$(cd "$(dirname "$0")/.." && pwd)"
 benches=(fig5a_tpcw_scalability overhead_stats outage_recovery)
+all_targets=("${benches[@]}" warm_restart)
 
 cmake -B "$1" -S "${src}" -DCMAKE_BUILD_TYPE=Release >/dev/null
-cmake --build "$1" -j"$(nproc)" --target "${benches[@]}"
+cmake --build "$1" -j"$(nproc)" --target "${all_targets[@]}"
 build="$(cd "$1" && pwd)"
 
 mkdir -p "$2"
@@ -36,3 +40,7 @@ for b in "${benches[@]}"; do
   echo "=== ${b} ==="
   "${build}/bench/${b}" | grep -v '(wall)' > "${out}/${b}.txt"
 done
+echo "=== warm_restart ==="
+"${build}/bench/warm_restart" --cold-minutes=6 --warm-minutes=2 \
+  | grep -v '(wall)' > "${out}/warm_restart.txt"
+sha256sum warm_restart.snapshot > "${out}/warm_restart.snapshot.sha256"
