@@ -34,13 +34,16 @@
 //   - Training data: edges learn independently (as in the paper), but
 //     invalidation traffic flows over real links, which the simulated
 //     mode does not model at all.
-//   - Saturation knee: set by the per-edge pool width and client think
-//     time, not by the calibrated 20 ms engine overhead, so the knee sits
-//     at a different absolute client count on different hosts.
+//   - Saturation knee: set by the bench's per-edge serving station
+//     (kEdgeSlots, below) and client think time, not by the calibrated
+//     20 ms engine overhead, so the knee sits at a different absolute
+//     client count on different hosts.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <deque>
+#include <semaphore>
 #include <string>
 #include <thread>
 #include <vector>
@@ -54,12 +57,15 @@ namespace {
 using namespace apollo;
 
 // --cluster mode: one correlated A->B chain family plus a slice of
-// never-repeating lookups (unique key per issue, so each pays a full
-// gateway round trip through the edge's pool). The unique slice is what
-// saturates: per-edge miss capacity ~= pool_threads / rtt, so one edge
-// hits its knee inside the 20..100-client sweep while three stay flat —
-// the same mechanism as the paper's per-instance engine-CPU knee, moved
-// to the remote-read pool because in-process edges share host CPU.
+// never-repeating lookups (unique key per issue, so each is a miss that
+// pays a full gateway round trip). In-process edges share the host's CPU,
+// so the bench models each edge's weak host as a serving station: at most
+// kEdgeSlots queries run on an edge at once, each holding its slot for its
+// whole service time (a hit's lookup, a miss's round trip). Per-edge
+// capacity is then ~= kEdgeSlots / mean service time, so one edge hits its
+// knee inside the 20..100-client sweep while three stay flat — the same
+// mechanism as the paper's per-instance engine-CPU knee.
+constexpr std::ptrdiff_t kEdgeSlots = 32;
 constexpr int kChains = 20;
 constexpr int kKeys = 10;
 constexpr double kUniqueFrac = 0.05;  // fraction of walks adding a miss
@@ -111,16 +117,14 @@ void RunClusterMode() {
       cfg.edge.apollo = bench::PaperApolloConfig();
       cfg.edge.apollo.seed = 42 * 131;
       // WAN-ish gateway RTT so cache hits versus round trips dominate the
-      // latency axis; a narrow pool models the paper's weak 4-vCPU hosts.
+      // latency axis; a narrow pool, as on the paper's 4-vCPU hosts.
       cfg.edge.gateway.rtt = std::chrono::microseconds(20000);
       cfg.edge.pool.num_threads = 4;
       cfg.edge.pool.queue_capacity = 1024;
       cfg.edge.cache_bytes = db.ApproximateDataBytes();
-      // One miss per WAN trip: batching would let a single pool slot
-      // amortise many unique lookups and erase the capacity knee this
-      // figure is about.
-      cfg.edge.batch_wan = false;
       cluster::EdgeCluster cl(&db, cfg);
+      std::deque<std::counting_semaphore<kEdgeSlots>> slots;
+      for (int e = 0; e < edges; ++e) slots.emplace_back(kEdgeSlots);
 
       std::atomic<bool> stop{false};
       std::atomic<bool> measuring{false};
@@ -147,7 +151,10 @@ void RunClusterMode() {
             }
             for (const auto& sql : q) {
               const auto t0 = std::chrono::steady_clock::now();
+              auto& slot = slots[static_cast<size_t>(cl.RouteOf(sid))];
+              slot.acquire();
               auto r = cl.Execute(static_cast<core::ClientId>(sid), sql);
+              slot.release();
               const double ms =
                   std::chrono::duration_cast<std::chrono::duration<double>>(
                       std::chrono::steady_clock::now() - t0)
@@ -157,7 +164,7 @@ void RunClusterMode() {
                 lat_ms[static_cast<size_t>(c)].push_back(ms);
               }
             }
-            // Client think time; the knee moves with pool width, not this.
+            // Client think time.
             std::this_thread::sleep_for(std::chrono::microseconds(
                 rng.UniformInt(8000, 12000)));
           }

@@ -21,12 +21,12 @@ cache::KvCacheOptions BuildCacheOptions(const core::ApolloConfig& cfg) {
 }
 }  // namespace
 
-/// Planner sink for one rt pass: the brownout veto, then either the
-/// trigger's batch plan (batch_wan) or one pool dispatch per prediction.
+/// Planner sink for one rt pass: the brownout veto, then collection into
+/// the pass's PredictionPlan, which the caller sends once its locks drop.
 class ConcurrentApollo::PlanSink final : public core::PredictionSink {
  public:
-  PlanSink(ConcurrentApollo* rt, core::ClientSession* s, PredictionPlan* plan)
-      : rt_(rt), s_(s), plan_(plan) {}
+  PlanSink(ConcurrentApollo* rt, PredictionPlan& plan)
+      : rt_(rt), plan_(plan) {}
   bool Veto(const core::ClientSession& session, const core::Fdq& f,
             uint64_t trigger) override {
     return rt_->brownout_ != nullptr &&
@@ -34,18 +34,12 @@ class ConcurrentApollo::PlanSink final : public core::PredictionSink {
   }
   void Issue(uint64_t template_id, const std::string& sql, int depth,
              double probability) override {
-    core::PredictionItem item{template_id, sql, depth, probability};
-    if (plan_ == nullptr) {
-      rt_->PredictiveExecute(*s_, std::move(item));
-    } else {
-      plan_->items.push_back(std::move(item));
-    }
+    plan_.items.push_back({template_id, sql, depth, probability});
   }
 
  private:
   ConcurrentApollo* rt_;
-  core::ClientSession* s_;
-  PredictionPlan* plan_;
+  PredictionPlan& plan_;
 };
 
 ConcurrentApollo::ConcurrentApollo(db::Database* db,
@@ -72,17 +66,8 @@ ConcurrentApollo::ConcurrentApollo(db::Database* db,
                           metric_prefix + "overload.")
                     : nullptr),
       pool_(BuildPoolConfig(), obs_, metric_prefix + "pool."),
-      // Batch instruments only exist when batching is on: the legacy
-      // (batch_wan=false) configuration exports an unchanged set.
-      gateway_(db, config_.gateway, config_.batch_wan ? obs_ : nullptr,
-               metric_prefix + "gateway."),
+      gateway_(db, config_.gateway, obs_, metric_prefix + "gateway."),
       epoch_(std::chrono::steady_clock::now()) {
-  if (config_.learn_shards == 0) config_.learn_shards = 1;
-  if (config_.max_batch_statements == 0) config_.max_batch_statements = 1;
-  learn_shards_.reserve(config_.learn_shards);
-  for (size_t i = 0; i < config_.learn_shards; ++i) {
-    learn_shards_.push_back(std::make_unique<LearnShard>());
-  }
   obs::MetricsRegistry& m = obs_->metrics;
   const std::string& p = metric_prefix;
   c_.queries = m.RegisterCounter(p + "queries");
@@ -113,14 +98,10 @@ ConcurrentApollo::ConcurrentApollo(db::Database* db,
        .admit_full_wall_us =
            m.RegisterHistogram(p + "latency.admit_full_wall_us"),
        .trace = &obs_->trace});
-  if (config_.learn_shards > 1) {
-    // Per-shard wait histograms quantify contention on each stripe; the
-    // single-lock configuration keeps only the aggregate (legacy set).
-    for (size_t i = 0; i < learn_shards_.size(); ++i) {
-      learn_shards_[i]->wait_us = m.RegisterHistogram(
-          p + "latency.learn_shard" + std::to_string(i) +
-          ".lock_wait_wall_us");
-    }
+  // Per-shard wait histograms quantify contention on each stripe.
+  for (size_t i = 0; i < kLearnShards; ++i) {
+    learn_shards_[i].wait_us = m.RegisterHistogram(
+        p + "latency.learn_shard" + std::to_string(i) + ".lock_wait_wall_us");
   }
   if (config_.apollo.max_transition_edges > 0) {
     learning_pruned_edges_ = m.RegisterCounter(p + "learning_pruned_edges");
@@ -344,24 +325,22 @@ util::SimTime ConcurrentApollo::NowUs() const {
 
 std::unique_lock<std::mutex> ConcurrentApollo::LockLearn(
     uint64_t session_key) {
-  LearnShard& shard = *learn_shards_[session_key % learn_shards_.size()];
+  LearnShard& shard = learn_shards_[session_key % kLearnShards];
   auto t0 = std::chrono::steady_clock::now();
   std::unique_lock<std::mutex> lock(shard.mu);
   const int64_t waited = WallMicrosSince(t0);
   learn_lock_wait_wall_us_->Record(waited);
-  if (shard.wait_us != nullptr) shard.wait_us->Record(waited);
+  shard.wait_us->Record(waited);
   return lock;
 }
 
 std::vector<std::unique_lock<std::mutex>> ConcurrentApollo::LockAllLearn() {
   auto t0 = std::chrono::steady_clock::now();
   std::vector<std::unique_lock<std::mutex>> locks;
-  locks.reserve(learn_shards_.size());
+  locks.reserve(kLearnShards);
   // Ascending index order — the fixed total order every all-shard
   // acquisition uses, so whole-engine stops can't deadlock each other.
-  for (auto& shard : learn_shards_) {
-    locks.emplace_back(shard->mu);
-  }
+  for (LearnShard& shard : learn_shards_) locks.emplace_back(shard.mu);
   learn_lock_wait_wall_us_->Record(WallMicrosSince(t0));
   return locks;
 }
@@ -525,25 +504,22 @@ util::Result<common::ResultSetPtr> ConcurrentApollo::RemoteRead(
     Deadline deadline) {
   const uint64_t session_key = static_cast<uint64_t>(session.id);
   const bool learn = config_.apollo.enable_prediction;
-  // batch_wan pre-issue learning pass: every learning/predict decision
-  // that does not need the pending result is made NOW, so the discovered
-  // fan-out rides the SAME round trip as the trigger (paper §3.1's
-  // pipelining argument applied to the wire). Predictions whose source
-  // rows must come from this query's result are parked in plan.deferred
-  // for the post-pass. Divergence note: if the remote trip then fails,
-  // this pass has already recorded the query in the learning state —
-  // harmless speculative knowledge the unbatched path would not have
-  // recorded.
+  // Pre-issue learning pass: every learning/predict decision that does
+  // not need the pending result is made NOW, so the decided fan-out rides
+  // the SAME round trip as the trigger (paper §3.1's pipelining argument
+  // applied to the wire). Predictions whose source rows must come from
+  // this query's result are parked in plan.deferred for the post-pass. If
+  // the remote trip then fails, the query stays recorded in the learning
+  // state — harmless speculative knowledge.
   PredictionPlan plan;
-  if (config_.batch_wan && learn) {
+  if (learn) {
     auto lock = LockLearn(session_key);
     OnQueryCompleted(session, adm, /*result=*/nullptr,
-                     /*pending_fresh=*/adm.fingerprint(), &plan);
+                     /*pending_fresh=*/adm.fingerprint(), plan);
   }
   // Cache-skip checks for co-issued items run against the versions this
   // round trip is about to make the session observe (the current table
-  // versions), matching the decision the unbatched path takes after its
-  // trip has advanced the session vector.
+  // versions): the vector the session holds once the trip lands.
   cache::VersionVector vv_check;
   if (!plan.items.empty()) {
     vv_check = session.Vv();
@@ -558,10 +534,6 @@ util::Result<common::ResultSetPtr> ConcurrentApollo::RemoteRead(
   auto rs = serving_.LandRead(session, adm, rr.result, rr.versions,
                               WallMicrosSince(t0), NowUs(), publish);
   if (!rs.ok() || !learn) return rs;
-  if (!config_.batch_wan) {
-    FinishRead(session, adm, *rs);
-    return rs;
-  }
   // Post-pass: the result lands in `recent`, and predictions parked on it
   // get their (single) retry with the source rows now available.
   PredictionPlan post;
@@ -570,7 +542,7 @@ util::Result<common::ResultSetPtr> ConcurrentApollo::RemoteRead(
     std::lock_guard<std::mutex> slock(session.mu);
     const util::SimTime now = NowUs();
     session.recent[adm.fingerprint()] = {*rs, now};
-    PlanSink sink(this, &session, &post);
+    PlanSink sink(this, post);
     for (const core::Fdq* f : plan.deferred) {
       planner_.TryPredict(session, *f, adm.fingerprint(), /*depth=*/0, now,
                           sink);
@@ -585,10 +557,9 @@ void ConcurrentApollo::FinishRead(core::ClientSession& session,
                                   const common::ResultSetPtr& result) {
   if (!config_.apollo.enable_prediction) return;
   PredictionPlan plan;
-  PredictionPlan* collector = config_.batch_wan ? &plan : nullptr;
   {
     auto lock = LockLearn(static_cast<uint64_t>(session.id));
-    OnQueryCompleted(session, adm, result, /*pending_fresh=*/0, collector);
+    OnQueryCompleted(session, adm, result, /*pending_fresh=*/0, plan);
   }
   if (!plan.items.empty()) IssuePredictionPlan(session, std::move(plan.items));
 }
@@ -596,25 +567,22 @@ void ConcurrentApollo::FinishRead(core::ClientSession& session,
 util::Result<common::ResultSetPtr> ConcurrentApollo::ExecuteWrite(
     core::ClientSession& session, sql::AdmittedQuery adm, Deadline deadline) {
   core::TemplateMeta* meta = serving_.Observe(session, adm);
-  const uint64_t session_key = static_cast<uint64_t>(session.id);
-  const bool learn = config_.apollo.enable_prediction;
-  // batch_wan: the learning pass (including informed ADQ reload) runs
-  // pre-issue — none of its decisions need the write's outcome — and its
-  // prediction fan-out rides the write's round trip. In-order batch
-  // execution at the gateway means those reads see the post-write rows
-  // and versions. Same divergence note as RemoteRead: a failed write
-  // leaves the (harmless) learning record behind.
+  // The learning pass (including informed ADQ reload) runs pre-issue —
+  // none of its decisions need the write's outcome — and its prediction
+  // fan-out rides the write's round trip. In-order batch execution at the
+  // gateway means those reads see the post-write rows and versions. As in
+  // RemoteRead, a failed write leaves the (harmless) learning record
+  // behind.
   PredictionPlan plan;
-  if (config_.batch_wan && learn) {
-    auto lock = LockLearn(session_key);
+  if (config_.apollo.enable_prediction) {
+    auto lock = LockLearn(static_cast<uint64_t>(session.id));
     OnQueryCompleted(session, adm, /*result=*/nullptr, /*pending_fresh=*/0,
-                     &plan);
+                     plan);
   }
   // Arm co-issued predictions against post-write visibility: the write
   // in this batch bumps every written table past any resident cache
   // stamp, so cached entries reading those tables can never satisfy the
-  // skip check — exactly the decision the unbatched path takes after its
-  // write advanced the session vector.
+  // skip check.
   cache::VersionVector vv_check;
   if (!plan.items.empty()) {
     vv_check = session.Vv();
@@ -628,13 +596,7 @@ util::Result<common::ResultSetPtr> ConcurrentApollo::ExecuteWrite(
                         .Take();
   auto out = serving_.LandWrite(session, meta, rr.result, rr.versions,
                                 WallMicrosSince(t0));
-  if (!out.ok()) return out;
-  if (config_.on_write) config_.on_write(rr.versions);
-  if (!config_.batch_wan && learn) {
-    auto lock = LockLearn(session_key);
-    OnQueryCompleted(session, adm, /*result=*/nullptr, /*pending_fresh=*/0,
-                     /*plan=*/nullptr);
-  }
+  if (out.ok() && config_.on_write) config_.on_write(rr.versions);
   return out;
 }
 
@@ -646,7 +608,7 @@ void ConcurrentApollo::OnQueryCompleted(core::ClientSession& s,
                                         const sql::AdmittedQuery& adm,
                                         const common::ResultSetPtr& result,
                                         uint64_t pending_fresh,
-                                        PredictionPlan* plan) {
+                                        PredictionPlan& plan) {
   const util::SimTime now = NowUs();
   const uint64_t qt = adm.fingerprint();
   uint64_t removed = 0;
@@ -654,9 +616,8 @@ void ConcurrentApollo::OnQueryCompleted(core::ClientSession& s,
     std::lock_guard<std::mutex> slock(s.mu);
     removed =
         planner_.Learn(s, qt, adm.params, result, adm.read_only(), now);
-    PlanSink sink(this, &s, plan);
-    planner_.Predict(s, qt, now, sink, pending_fresh,
-                     plan != nullptr ? &plan->deferred : nullptr);
+    PlanSink sink(this, plan);
+    planner_.Predict(s, qt, now, sink, pending_fresh, &plan.deferred);
     if (!adm.read_only() && config_.apollo.enable_adq_reload) {
       if (brownout_ != nullptr && brownout_->ShedAdqReloads()) {
         // >= L2: reload passes are speculation too, and they fan out hard.
@@ -678,7 +639,7 @@ void ConcurrentApollo::OnPredictionCompleted(core::ClientSession& s,
   {
     auto lock = LockLearn(static_cast<uint64_t>(s.id));
     std::lock_guard<std::mutex> slock(s.mu);
-    PlanSink sink(this, &s, config_.batch_wan ? &plan : nullptr);
+    PlanSink sink(this, plan);
     planner_.OnPredictionCompleted(s, template_id, std::move(result),
                                    depth, NowUs(), sink);
   }
@@ -737,27 +698,8 @@ bool ConcurrentApollo::BrownoutVetoesPrediction(
   return false;
 }
 
-void ConcurrentApollo::PredictiveExecute(core::ClientSession& s,
-                                         core::PredictionItem item) {
-  bool accepted = pool_.Submit(
-      TaskClass::kPredictive, static_cast<uint64_t>(s.id),
-      [this, &s, item = std::move(item)] {
-        core::ArmedPrediction armed;
-        if (!serving_.Arm(s, item, s.Vv(), &armed)) return;
-        auto t0 = std::chrono::steady_clock::now();
-        RemoteResult rr = gateway_.ExecuteInline(armed.adm.bound());
-        serving_.LandPrediction(s, armed, rr.result, rr.versions,
-                                WallMicrosSince(t0), NowUs());
-      });
-  if (!accepted) {
-    // Backpressure: the pool's queue is at the watermark — speculation is
-    // the first load to go (thread-level shed-predictions-first).
-    c_.predictions_shed->Inc();
-  }
-}
-
 // ---------------------------------------------------------------------------
-// Batched prediction transport (batch_wan; DESIGN.md Section 14)
+// Prediction transport: batched envelopes (DESIGN.md Section 14)
 // ---------------------------------------------------------------------------
 
 Future<RemoteResult> ConcurrentApollo::CoIssue(
@@ -771,7 +713,7 @@ Future<RemoteResult> ConcurrentApollo::CoIssue(
   stmts.reserve(items.size() + 1);
   stmts.push_back(std::move(trigger));
   for (auto& item : items) {
-    if (stmts.size() >= config_.max_batch_statements) {
+    if (stmts.size() >= kMaxBatchStatements) {
       overflow.push_back(std::move(item));
       continue;
     }
@@ -784,7 +726,9 @@ Future<RemoteResult> ConcurrentApollo::CoIssue(
   *t0 = std::chrono::steady_clock::now();
   Future<RemoteResult> out = SendBatch(session, std::move(stmts),
                                        std::move(armed), deadline, *t0)[0];
-  if (!overflow.empty()) IssuePredictionPlan(session, std::move(overflow));
+  if (!overflow.empty()) {
+    IssuePredictionPlan(session, std::move(overflow), vv_check);
+  }
   return out;
 }
 
@@ -808,7 +752,8 @@ std::vector<Future<RemoteResult>> ConcurrentApollo::SendBatch(
 }
 
 void ConcurrentApollo::IssuePredictionPlan(
-    core::ClientSession& s, std::vector<core::PredictionItem> items) {
+    core::ClientSession& s, std::vector<core::PredictionItem> items,
+    cache::VersionVector vv_floor) {
   if (items.empty()) return;
   // Counted BEFORE handing the items to the pool: the worker moves the
   // vector out of `shared`, so touching it after Submit would race.
@@ -818,7 +763,9 @@ void ConcurrentApollo::IssuePredictionPlan(
       std::make_shared<std::vector<core::PredictionItem>>(std::move(items));
   bool accepted = pool_.Submit(
       TaskClass::kPredictive, static_cast<uint64_t>(s.id),
-      [this, &s, shared] { RunPredictionBatch(s, std::move(*shared)); });
+      [this, &s, shared, vv_floor = std::move(vv_floor)] {
+        RunPredictionBatch(s, std::move(*shared), vv_floor);
+      });
   if (!accepted) {
     // The whole plan is shed as one unit: it would have been one queue
     // slot and (mostly) one round trip.
@@ -827,8 +774,10 @@ void ConcurrentApollo::IssuePredictionPlan(
 }
 
 void ConcurrentApollo::RunPredictionBatch(
-    core::ClientSession& s, std::vector<core::PredictionItem> items) {
-  const cache::VersionVector vv_copy = s.Vv();
+    core::ClientSession& s, std::vector<core::PredictionItem> items,
+    const cache::VersionVector& vv_floor) {
+  cache::VersionVector vv_check = s.Vv();
+  for (const auto& [t, v] : vv_floor.entries()) vv_check.AdvanceTo(t, v);
   std::vector<sql::BoundStatement> stmts;
   std::vector<core::ArmedPrediction> armed;
   auto flush = [&] {
@@ -840,12 +789,12 @@ void ConcurrentApollo::RunPredictionBatch(
   };
   for (const auto& item : items) {
     core::ArmedPrediction a;
-    if (!serving_.Arm(s, item, vv_copy, &a)) continue;
+    if (!serving_.Arm(s, item, vv_check, &a)) continue;
     stmts.push_back(a.adm.bound());
     armed.push_back(std::move(a));
     // Overflowing fan-out goes out as additional, concurrently in-flight
     // round trips rather than being dropped.
-    if (stmts.size() >= config_.max_batch_statements) flush();
+    if (stmts.size() >= kMaxBatchStatements) flush();
   }
   flush();
 }

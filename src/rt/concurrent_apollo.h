@@ -31,12 +31,13 @@
 //     them are serialized per session by the shard, and the benign races
 //     that remain across shards (two sessions discovering the same FDQ)
 //     are absorbed by DependencyGraph::Add's first-writer-wins contract.
-//   - With `batch_wan` on (the default), every prediction fan-out
-//     co-issued from one trigger rides a single WAN round trip through
-//     DbGateway::ExecuteBatchAsync — including the triggering client
-//     query when it must go remote anyway — and all speculative
-//     completions are continuation-style (Future::Then on pool threads):
-//     no worker thread ever sleeps out a round trip for speculation.
+//   - Every trip to the origin is a DbGateway::ExecuteBatchAsync
+//     envelope. The prediction fan-out decided before a client query's
+//     trip rides that trip, up to kMaxBatchStatements statements; the
+//     rest, and fan-out decided later, go out from one kPredictive pool
+//     task in further envelopes. Speculative completions are
+//     continuation-style (Future::Then on pool threads): no worker thread
+//     ever sleeps out a round trip.
 //
 // Lock ordering (DESIGN.md Sections 9 and 14): learn shard(s) (all-shard
 // acquisitions in ascending index order) -> sessions_mu_ -> session.mu ->
@@ -48,6 +49,7 @@
 // any of these, and pool worker threads never block on a Future at all.
 #pragma once
 
+#include <array>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -99,18 +101,6 @@ struct ConcurrentApolloConfig {
   DbGatewayConfig gateway;    // real-time WAN round trip
   size_t cache_bytes = 8u << 20;
   size_t cache_shards = 8;
-  /// Stripes of the learn-lock table (sessions hash to shards by id).
-  /// 1 restores the single global engine lock — the pre-sharding
-  /// behavior, byte-identical down to the instrument set.
-  size_t learn_shards = 16;
-  /// Coalesce the prediction fan-out of one trigger (plus the triggering
-  /// client query when it goes remote) into a single batched WAN round
-  /// trip, with fully-async speculative completions. Off restores the
-  /// one-round-trip-per-query legacy path (worker sleeps the RTT inline).
-  bool batch_wan = true;
-  /// Upper bound on statements per batched round trip; fan-out beyond it
-  /// overflows into additional (concurrently in-flight) batches.
-  size_t max_batch_statements = 16;
   PersistOptions persist;     // learned-state snapshots (off by default)
   /// Overload control & graceful brownout (DESIGN.md Section 12). Off by
   /// default: no controller, no deadlines, no fair queueing, no new
@@ -128,6 +118,12 @@ struct ConcurrentApolloConfig {
 
 class ConcurrentApollo {
  public:
+  /// Stripes of the learn-lock table; session id % kLearnShards picks one.
+  static constexpr size_t kLearnShards = 16;
+  /// Statements per envelope. Fan-out beyond it overflows into further,
+  /// concurrently in-flight envelopes.
+  static constexpr size_t kMaxBatchStatements = 16;
+
   /// `obs` may be null (a private bundle is created). Instruments are
   /// registered under `metric_prefix` ("rt." by default).
   ConcurrentApollo(db::Database* db, ConcurrentApolloConfig config,
@@ -253,7 +249,7 @@ class ConcurrentApollo {
     std::vector<const core::Fdq*> deferred;
   };
 
-  /// Planner sink: brownout veto + plan/dispatch transport.
+  /// Planner sink: brownout veto, then collection into a PredictionPlan.
   class PlanSink;
 
   core::ClientSession& SessionFor(core::ClientId client);
@@ -264,16 +260,15 @@ class ConcurrentApollo {
   util::Result<common::ResultSetPtr> ExecuteWrite(core::ClientSession& session,
                                                   sql::AdmittedQuery adm,
                                                   Deadline deadline);
-  /// Leader (`publish`) or fallback remote read. With batch_wan: pre-issue
-  /// learning pass, then ONE round trip carrying the client query plus
-  /// every co-issued prediction, then the post-pass (result into
-  /// `recent`, deferred predictions re-tried).
+  /// Leader (`publish`) or fallback remote read: pre-issue learning pass,
+  /// then ONE round trip carrying the client query plus the co-issued
+  /// predictions, then the post-pass (result into `recent`, deferred
+  /// predictions re-tried).
   util::Result<common::ResultSetPtr> RemoteRead(core::ClientSession& session,
                                                 const sql::AdmittedQuery& adm,
                                                 bool publish,
                                                 Deadline deadline);
-  /// Learning pass for a read served from a hit, a subscription or an
-  /// unbatched trip.
+  /// Learning pass for a read served from a hit or a subscription.
   void FinishRead(core::ClientSession& session, const sql::AdmittedQuery& adm,
                   const common::ResultSetPtr& result);
 
@@ -285,16 +280,15 @@ class ConcurrentApollo {
   /// deadlock-free against per-session learners).
   std::vector<std::unique_lock<std::mutex>> LockAllLearn();
 
-  /// One planner pass for a completed client query (learning, Algorithm
-  /// 2, ADQ reload on writes) with the session's learn shard held; locks
-  /// session.mu internally. `result` is null for writes and for the
-  /// batch_wan pre-issue pass, which passes its own template as
-  /// `pending_fresh` (its result lands on this round trip). `plan` null =
-  /// dispatch each prediction to the pool.
+  /// One planner pass for a client query (learning, Algorithm 2, ADQ
+  /// reload on writes) with the session's learn shard held; locks
+  /// session.mu internally. `result` is null for writes and for a read's
+  /// pre-issue pass, which passes its own template as `pending_fresh`
+  /// (its result lands on this round trip). Decisions collect in `plan`.
   void OnQueryCompleted(core::ClientSession& session,
                         const sql::AdmittedQuery& adm,
                         const common::ResultSetPtr& result,
-                        uint64_t pending_fresh, PredictionPlan* plan);
+                        uint64_t pending_fresh, PredictionPlan& plan);
   void OnPredictionCompleted(core::ClientSession& session,
                              uint64_t template_id,
                              common::ResultSetPtr result, int depth);
@@ -305,22 +299,22 @@ class ConcurrentApollo {
   /// learners against each other (DESIGN.md Section 14).
   void ClearSatisfiedOthers(uint64_t fdq_id, core::ClientSession* self);
 
-  /// Unbatched transport: one pool task (shed at the watermark) arms the
-  /// item and sleeps its round trip inline. Called with the shard held.
-  void PredictiveExecute(core::ClientSession& session,
-                         core::PredictionItem item);
-
-  /// Batched transport: ONE kPredictive pool task (the whole plan is shed
-  /// at the watermark) arms every item and sends them in batches. Called
-  /// WITHOUT shard or session locks held.
+  /// ONE kPredictive pool task (the whole plan is shed at the watermark)
+  /// arms every item and sends them in envelopes. Items are armed against
+  /// the session's vector when the task runs, raised to `vv_floor`.
+  /// Called WITHOUT shard or session locks held.
   void IssuePredictionPlan(core::ClientSession& session,
-                           std::vector<core::PredictionItem> items);
+                           std::vector<core::PredictionItem> items,
+                           cache::VersionVector vv_floor = {});
   void RunPredictionBatch(core::ClientSession& session,
-                          std::vector<core::PredictionItem> items);
+                          std::vector<core::PredictionItem> items,
+                          const cache::VersionVector& vv_floor);
   /// One batched round trip carrying a client `trigger` statement plus
-  /// as many of `items` as fit under max_batch_statements (armed against
-  /// `vv_check`); the rest go out through IssuePredictionPlan. Returns the
-  /// trigger's future; `t0` receives the issue time.
+  /// as many of `items` as fit under kMaxBatchStatements (armed against
+  /// `vv_check`); the rest go out through IssuePredictionPlan with
+  /// `vv_check` as their floor, since the pool task may arm them before
+  /// the trigger lands. Returns the trigger's future; `t0` receives the
+  /// issue time.
   Future<RemoteResult> CoIssue(core::ClientSession& session,
                                sql::BoundStatement trigger,
                                std::vector<core::PredictionItem> items,
@@ -380,16 +374,13 @@ class ConcurrentApollo {
       sessions_;
 
   /// Striped learn-lock table (see file comment): shard i serializes the
-  /// learning/predict-decide stage of the sessions with id % size == i.
-  /// Heap-allocated so shard mutexes never share a cache line.
-  struct LearnShard {
+  /// learning/predict-decide stage of the sessions with id % kLearnShards
+  /// == i. Cache-line aligned so shard mutexes never share a line.
+  struct alignas(64) LearnShard {
     std::mutex mu;
-    /// Per-shard lock-wait histogram; null when learn_shards == 1 (the
-    /// legacy single-lock configuration exports an unchanged instrument
-    /// set — only the aggregate below).
-    obs::HistogramMetric* wait_us = nullptr;
+    obs::HistogramMetric* wait_us = nullptr;  // this shard's lock wait
   };
-  std::vector<std::unique_ptr<LearnShard>> learn_shards_;
+  std::array<LearnShard, kLearnShards> learn_shards_;
 
   std::chrono::steady_clock::time_point epoch_;
   bool shut_down_ = false;

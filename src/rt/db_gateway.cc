@@ -1,6 +1,5 @@
 #include "rt/db_gateway.h"
 
-#include <thread>
 #include <utility>
 
 namespace apollo::rt {
@@ -34,19 +33,6 @@ DbGateway::~DbGateway() { Shutdown(); }
 bool DbGateway::BudgetExhausted(Deadline deadline) const {
   return deadline != kNoDeadline &&
          std::chrono::steady_clock::now() + config_.rtt > deadline;
-}
-
-RemoteResult DbGateway::ExecuteInline(const sql::BoundStatement& stmt,
-                                      Deadline deadline) {
-  if (BudgetExhausted(deadline)) {
-    // The remaining budget cannot cover the round trip: cancel before
-    // paying it, so overload sheds work instead of executing it late.
-    RemoteResult out;
-    out.result = util::Status::DeadlineExceeded("query budget exhausted");
-    return out;
-  }
-  if (config_.rtt.count() > 0) std::this_thread::sleep_for(config_.rtt);
-  return ExecuteNoDelay(stmt);
 }
 
 RemoteResult DbGateway::ExecuteNoDelay(const sql::BoundStatement& stmt) {

@@ -9,19 +9,16 @@
 // table-version stamp the paper's session consistency needs. Completions
 // are delivered as rt::Future values.
 //
-// Since the scaling rework (DESIGN.md Section 14) the async paths are
-// fully non-blocking: instead of parking a pool worker in a sleep for the
-// round trip, pending operations sit in a deadline min-heap drained by one
-// WAN timer thread. When an operation comes due, the timer dispatches a
-// completion task to the pool (kClient class, never shed) that executes
-// the statement(s) against the database and fulfills the per-statement
-// promises — so Future::Then continuations run on pool workers and no
-// thread anywhere sleeps per in-flight operation. ExecuteBatchAsync
-// coalesces any number of statements into ONE round trip: the batch pays
-// a single RTT, the statements execute sequentially at "the remote" in
-// submission order (a read after a write in the same batch sees the
-// written data), and each statement's result is demultiplexed into its
-// own Future.
+// ExecuteBatchAsync is the one way to the origin (DESIGN.md Section 14)
+// and it never blocks: a batch (an "envelope") of any number of statements
+// pays ONE round trip, waiting in a deadline min-heap drained by one WAN
+// timer thread. When it comes due, the timer dispatches a completion task
+// to the pool (kClient class, never shed) that executes the statements
+// sequentially at "the remote" in submission order (a read after a write
+// in the same envelope sees the written data) and fulfills one promise per
+// statement — so Future::Then continuations run on pool workers and no
+// thread anywhere sleeps per in-flight operation. A client statement on
+// its own is an envelope of one.
 #pragma once
 
 #include <atomic>
@@ -82,15 +79,6 @@ class DbGateway {
 
   DbGateway(const DbGateway&) = delete;
   DbGateway& operator=(const DbGateway&) = delete;
-
-  /// Executes on the calling thread: sleeps the WAN round trip, then runs
-  /// and stamps the statement. If `deadline` cannot cover the round trip
-  /// the call fails fast with DeadlineExceeded WITHOUT paying the round
-  /// trip or touching the database. Used where a pool worker owns the
-  /// whole trip (unbatched predictions); the batch path below never sleeps
-  /// a worker.
-  RemoteResult ExecuteInline(const sql::BoundStatement& stmt,
-                             Deadline deadline = kNoDeadline);
 
   /// Coalesces `stmts` into a single WAN round trip: the batch pays one
   /// RTT in the timer heap, then a pool task (kClient, keyed by `session`

@@ -58,7 +58,7 @@ struct ThreadPoolConfig {
   /// Called once per executed task with its queue sojourn (enqueue ->
   /// dequeue wall time, microseconds). The brownout controller's input
   /// signal; may be empty.
-  std::function<void(int64_t)> sojourn_callback;
+  std::function<void(int64_t)> sojourn_callback = nullptr;
 };
 
 class ThreadPool {

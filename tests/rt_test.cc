@@ -144,7 +144,7 @@ TEST(FutureTest, CopyableIntoStdFunction) {
 // --------------------------------------------------------------------------
 
 TEST(ThreadPoolTest, ExecutesAllClientTasks) {
-  rt::ThreadPool pool({/*num_threads=*/4, /*queue_capacity=*/16});
+  rt::ThreadPool pool({.num_threads = 4, .queue_capacity = 16});
   std::atomic<int> ran{0};
   for (int i = 0; i < 100; ++i) {
     ASSERT_TRUE(pool.Submit(rt::TaskClass::kClient, [&] { ran.fetch_add(1); }));
@@ -189,8 +189,7 @@ TEST(ThreadPoolTest, PredictiveShedAtWatermark) {
 
 TEST(ThreadPoolTest, RecordsQueueWaitPerWorker) {
   obs::Observability obs;
-  rt::ThreadPool pool({/*num_threads=*/2, /*queue_capacity=*/8}, &obs,
-                      "tp.");
+  rt::ThreadPool pool({.num_threads = 2, .queue_capacity = 8}, &obs, "tp.");
   std::atomic<int> ran{0};
   for (int i = 0; i < 20; ++i) {
     ASSERT_TRUE(pool.Submit(rt::TaskClass::kClient, [&] { ran.fetch_add(1); }));
@@ -323,7 +322,7 @@ TEST_F(ConcurrentApolloTest, SingleFlightExactlyOneExecution) {
 TEST_F(ConcurrentApolloTest, GatewayReadStampNeverNewerThanData) {
   // Version discipline: a read's stamp is snapshotted before execution,
   // so under concurrent writes Get(t) <= the table version at return.
-  rt::DbGateway gw(&db_, {std::chrono::microseconds(0)});
+  rt::DbGateway gw(&db_, {.rtt = std::chrono::microseconds(0)});
   std::atomic<bool> stop{false};
   std::thread writer([&] {
     int i = 0;
@@ -332,9 +331,10 @@ TEST_F(ConcurrentApolloTest, GatewayReadStampNeverNewerThanData) {
                         std::to_string(i++ % 1000) + " WHERE I_ID = 7");
     }
   });
+  const sql::BoundStatement stmt =
+      BindSql("SELECT I_STOCK FROM ITEM WHERE I_ID = 7");
   for (int i = 0; i < 200; ++i) {
-    auto rr =
-        gw.ExecuteInline(BindSql("SELECT I_STOCK FROM ITEM WHERE I_ID = 7"));
+    rt::RemoteResult rr = gw.ExecuteBatchAsync(nullptr, {stmt})[0].Take();
     ASSERT_TRUE(rr.result.ok());
     EXPECT_LE(rr.versions["ITEM"], db_.TableVersion("ITEM"));
   }

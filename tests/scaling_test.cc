@@ -1,11 +1,11 @@
-// Scaling-rework coverage (DESIGN.md Section 14): parity of the sharded +
-// batched runtime against the single-lock unbatched seed path, parity of
-// the threaded runtime's prediction-lifecycle trace against the event-loop
-// simulator's (one PredictionPlanner, DESIGN.md Section 17), gateway
-// batch semantics (demultiplexing, per-sub-statement fault injection,
-// deadline fail-fast), and 8-thread contention suites for the learn-shard
-// table and the batched WAN transport (run under TSan via
-// `tools/check.sh --thread`).
+// Scaling-rework coverage (DESIGN.md Section 14): decision parity of the
+// sharded, batched runtime against the event-loop simulator (results,
+// cache contents and counters, then prediction-lifecycle trace events —
+// one PredictionPlanner and one ServingCore, DESIGN.md Sections 17 and
+// 19), gateway batch semantics (demultiplexing, per-sub-statement fault
+// injection, deadline fail-fast), fan-out beyond the per-envelope cap,
+// and 8-thread contention suites for the learn-shard table and the
+// batched WAN transport (run under TSan via `tools/check.sh --thread`).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -87,112 +87,150 @@ class ScalingFixture : public ::testing::Test {
 };
 
 // --------------------------------------------------------------------------
-// Parity: sharded learning + batched issue must make bit-identical
-// prediction decisions to the single-lock, unbatched seed path when the
-// trace is replayed single-threaded with full drains between queries.
+// Parity: the simulator is the reference. The same correlated trace,
+// replayed single-threaded with full drains between queries through the
+// event-loop ApolloMiddleware and through rt::ConcurrentApollo (16 learn
+// shards, batched envelopes), must give the same results, land the same
+// cache keys and report the same counters.
 // --------------------------------------------------------------------------
 
 struct ReplayOutcome {
   std::vector<std::string> results;    // per client query: "<v>" or "ERR"
   std::vector<std::string> cache_keys;
-  std::map<std::string, uint64_t> counters;
+  std::map<std::string, uint64_t> counters;  // rt names, without "rt."
 };
 
 class ShardBatchParityTest : public ScalingFixture {
  protected:
-  /// Replays the same correlated TPC-W-ish trace (4 sessions round-robin,
-  /// each walking its own A -> B -> C chains, with periodic writes) and
-  /// snapshots everything decision-visible.
-  ReplayOutcome Replay(size_t learn_shards, bool batch_wan) {
-    rt::ConcurrentApolloConfig cfg;
-    cfg.apollo.verification_period = 2;
+  static core::ApolloConfig Config() {
+    core::ApolloConfig cfg;
+    cfg.verification_period = 2;
     // One wide transition-graph window: decisions depend on query ORDER
-    // only, not on wall-clock gaps, so the two replays stay bit-identical
+    // only, not on wall-clock gaps, so the replays stay bit-identical
     // even when the machine is loaded (ctest -j, TSan).
-    cfg.apollo.delta_ts = {util::Seconds(60)};
-    cfg.pool.num_threads = 2;
-    cfg.pool.queue_capacity = 256;
-    cfg.gateway.rtt = std::chrono::microseconds(300);
-    cfg.cache_bytes = 32u << 20;  // no evictions: keysets stay exact
-    cfg.learn_shards = learn_shards;
-    cfg.batch_wan = batch_wan;
+    cfg.delta_ts = {util::Seconds(60)};
+    return cfg;
+  }
 
-    // Each replay gets its own freshly seeded database so the first
-    // replay's writes cannot contaminate the second one's data (and thus
-    // its param mappings and prediction decisions).
-    db::Database replay_db;
-    SeedDb(&replay_db);
-
-    ReplayOutcome out;
-    rt::ConcurrentApollo apollo(&replay_db, cfg);
-    auto run = [&](int client, const std::string& sql) {
-      auto rs = apollo.Execute(client, sql);
-      if (!rs.ok()) {
-        out.results.push_back("ERR");
-      } else if ((*rs)->num_rows() == 0) {
-        out.results.push_back("EMPTY");
-      } else {
-        out.results.push_back(std::to_string((*rs)->At(0, 0).AsInt()));
-      }
-      Drain(apollo);
+  /// A correlated TPC-W-ish trace: 4 sessions round-robin, each walking
+  /// its own A -> B -> C chains, with periodic writes.
+  static std::vector<std::pair<int, std::string>> Trace() {
+    std::vector<std::pair<int, std::string>> t;
+    auto chain = [&](int client, int i) {
+      t.emplace_back(client, "SELECT A_ID, A_B_ID FROM A WHERE A_ID = " +
+                                 std::to_string(i));
+      t.emplace_back(client, "SELECT B_ID, B_C_ID FROM B WHERE B_ID = " +
+                                 std::to_string(1000 + i));
+      t.emplace_back(client, "SELECT C_V FROM C WHERE C_ID = " +
+                                 std::to_string(2000 + i));
     };
-
     // Learning rounds: each session walks disjoint chains so per-session
-    // graphs differ, exercising distinct shards in the sharded config.
+    // graphs differ, exercising distinct learn shards.
     for (int round = 1; round <= 6; ++round) {
       for (int client = 0; client < 4; ++client) {
-        const int i = 40 * client + round;
-        run(client, "SELECT A_ID, A_B_ID FROM A WHERE A_ID = " +
-                        std::to_string(i));
-        run(client, "SELECT B_ID, B_C_ID FROM B WHERE B_ID = " +
-                        std::to_string(1000 + i));
-        run(client, "SELECT C_V FROM C WHERE C_ID = " +
-                        std::to_string(2000 + i));
+        chain(client, 40 * client + round);
       }
       // A write invalidates C-reads downstream and exercises the ADQ
       // reload pass on the write path.
-      run(0, "UPDATE C SET C_V = " + std::to_string(100 + round) +
-                 " WHERE C_ID = " + std::to_string(2000 + round));
+      t.emplace_back(0, "UPDATE C SET C_V = " + std::to_string(100 + round) +
+                            " WHERE C_ID = " + std::to_string(2000 + round));
     }
-    // Post-learning probes: these A-reads should co-issue B/C predictions.
-    for (int client = 0; client < 4; ++client) {
-      const int i = 40 * client + 7;
-      run(client, "SELECT A_ID, A_B_ID FROM A WHERE A_ID = " +
-                      std::to_string(i));
-      run(client, "SELECT B_ID, B_C_ID FROM B WHERE B_ID = " +
-                      std::to_string(1000 + i));
-      run(client, "SELECT C_V FROM C WHERE C_ID = " +
-                      std::to_string(2000 + i));
-    }
-    Drain(apollo);
+    // Post-learning probes: these A-reads should predict B and C.
+    for (int client = 0; client < 4; ++client) chain(client, 40 * client + 7);
+    return t;
+  }
 
+  static std::string Render(const util::Result<common::ResultSetPtr>& rs) {
+    if (!rs.ok()) return "ERR";
+    if ((*rs)->num_rows() == 0) return "EMPTY";
+    return std::to_string((*rs)->At(0, 0).AsInt());
+  }
+
+  static constexpr const char* kCounters[] = {
+      "queries",          "reads",
+      "writes",           "cache_hits",
+      "cache_misses",     "predictions_issued",
+      "predictions_shed", "predictions_skipped",
+      "fdqs_discovered",  "fdqs_invalidated",
+      "adq_reloads"};
+
+  ReplayOutcome ReplaySimulator() {
+    db::Database db;
+    SeedDb(&db);
+    sim::EventLoop loop;
+    net::RemoteDbConfig rcfg;
+    rcfg.rtt = sim::LatencyModel::Constant(util::Millis(1));
+    net::RemoteDatabase remote(&loop, &db, rcfg);
+    cache::KvCache cache(32u << 20);  // no evictions: keysets stay exact
+    obs::Observability obs;
+    core::ApolloMiddleware mw(&loop, &remote, &cache, Config(), &obs);
+    ReplayOutcome out;
+    for (const auto& [client, sql] : Trace()) {
+      mw.SubmitQuery(client, sql,
+                     [&out](auto rs) { out.results.push_back(Render(rs)); });
+      loop.Run();
+    }
+    out.cache_keys = cache.KeysForTest();
+    const obs::MetricsRegistry& m = obs.metrics;
+    auto value = [&m](const std::string& name) {
+      return m.FindCounter("mw." + name)->Value();
+    };
+    for (const char* name : kCounters) {
+      const std::string n = name;
+      if (n == "predictions_skipped") {
+        // rt folds the simulator's five skip counters into one.
+        out.counters[n] = value("predictions_skipped_cached") +
+                          value("predictions_skipped_inflight") +
+                          value("predictions_skipped_fresh") +
+                          value("predictions_skipped_invalid") +
+                          value("predictions_skipped_incomplete");
+      } else if (n == "predictions_shed") {
+        out.counters[n] = value("shed_predictions");
+      } else {
+        out.counters[n] = value(n);
+      }
+    }
+    return out;
+  }
+
+  ReplayOutcome ReplayThreaded() {
+    db::Database db;
+    SeedDb(&db);
+    rt::ConcurrentApolloConfig cfg;
+    cfg.apollo = Config();
+    cfg.pool.num_threads = 2;
+    cfg.pool.queue_capacity = 256;
+    cfg.gateway.rtt = std::chrono::microseconds(300);
+    cfg.cache_bytes = 32u << 20;
+    rt::ConcurrentApollo apollo(&db, cfg);
+    ReplayOutcome out;
+    for (const auto& [client, sql] : Trace()) {
+      out.results.push_back(Render(apollo.Execute(client, sql)));
+      Drain(apollo);
+    }
     out.cache_keys = apollo.result_cache().KeysForTest();
     auto& m = apollo.observability().metrics;
-    for (const char* name :
-         {"rt.queries", "rt.reads", "rt.writes", "rt.cache_hits",
-          "rt.cache_misses", "rt.predictions_issued", "rt.predictions_shed",
-          "rt.predictions_skipped", "rt.fdqs_discovered",
-          "rt.fdqs_invalidated", "rt.adq_reloads"}) {
-      out.counters[name] = m.FindCounter(name)->Value();
+    for (const char* name : kCounters) {
+      out.counters[name] = m.FindCounter(std::string("rt.") + name)->Value();
     }
     apollo.Shutdown();
     return out;
   }
 };
 
-TEST_F(ShardBatchParityTest, ShardedBatchedMatchesSingleLockUnbatched) {
-  ReplayOutcome seed = Replay(/*learn_shards=*/1, /*batch_wan=*/false);
-  ReplayOutcome next = Replay(/*learn_shards=*/16, /*batch_wan=*/true);
+TEST_F(ShardBatchParityTest, ShardedBatchedMatchesSimulator) {
+  const ReplayOutcome sim = ReplaySimulator();
+  const ReplayOutcome rt = ReplayThreaded();
 
   // The learning must actually have produced predictions, or the parity
   // claim is vacuous.
-  ASSERT_GT(seed.counters["rt.predictions_issued"], 0u);
-  ASSERT_GT(seed.counters["rt.fdqs_discovered"], 0u);
+  ASSERT_GT(sim.counters.at("predictions_issued"), 0u);
+  ASSERT_GT(sim.counters.at("fdqs_discovered"), 0u);
 
-  EXPECT_EQ(seed.results, next.results);
-  EXPECT_EQ(seed.cache_keys, next.cache_keys);
-  for (const auto& [name, value] : seed.counters) {
-    EXPECT_EQ(value, next.counters[name]) << "counter " << name;
+  EXPECT_EQ(sim.results, rt.results);
+  EXPECT_EQ(sim.cache_keys, rt.cache_keys);
+  for (const auto& [name, value] : sim.counters) {
+    EXPECT_EQ(value, rt.counters.at(name)) << "counter " << name;
   }
 }
 
@@ -314,7 +352,7 @@ class CrossRuntimeParityTest : public ScalingFixture {
             obs.metrics.FindCounter("mw.fdqs_invalidated")->Value()};
   }
 
-  Outcome RunThreaded(bool batch_wan) {
+  Outcome RunThreaded() {
     db::Database db;
     SeedDb(&db);
     rt::ConcurrentApolloConfig cfg;
@@ -322,7 +360,6 @@ class CrossRuntimeParityTest : public ScalingFixture {
     cfg.pool.num_threads = 2;
     cfg.gateway.rtt = std::chrono::microseconds(300);
     cfg.cache_bytes = 32u << 20;
-    cfg.batch_wan = batch_wan;
     obs::Observability obs;
     obs.trace.set_enabled(true);
     rt::ConcurrentApollo apollo(&db, cfg, &obs);
@@ -350,14 +387,11 @@ TEST_F(CrossRuntimeParityTest, SameLifecycleEventsAsSimulator) {
     EXPECT_EQ(sim.events.count(want), 1u) << "simulator never emitted " << want;
   }
   EXPECT_GT(sim.fdqs_invalidated, 0u);
-  for (bool batch_wan : {false, true}) {
-    SCOPED_TRACE(batch_wan ? "batch_wan" : "unbatched");
-    const Outcome rt = RunThreaded(batch_wan);
-    EXPECT_EQ(sim.events, rt.events);
-    EXPECT_EQ(sim.templates_discovered, rt.templates_discovered);
-    EXPECT_EQ(sim.fdqs_discovered, rt.fdqs_discovered);
-    EXPECT_EQ(sim.fdqs_invalidated, rt.fdqs_invalidated);
-  }
+  const Outcome rt = RunThreaded();
+  EXPECT_EQ(sim.events, rt.events);
+  EXPECT_EQ(sim.templates_discovered, rt.templates_discovered);
+  EXPECT_EQ(sim.fdqs_discovered, rt.fdqs_discovered);
+  EXPECT_EQ(sim.fdqs_invalidated, rt.fdqs_invalidated);
 }
 
 // --------------------------------------------------------------------------
@@ -472,6 +506,79 @@ TEST_F(GatewayBatchTest, ThenContinuationsRunWithoutBlockingTake) {
 }
 
 // --------------------------------------------------------------------------
+// Fan-out beyond the envelope cap
+// --------------------------------------------------------------------------
+
+class BatchOverflowTest : public ScalingFixture {};
+
+TEST_F(BatchOverflowTest, WriteFanOutBeyondCapOverflowsIntoAnotherEnvelope) {
+  // Seventeen parameterless reads of W (the LIMIT is part of each
+  // template) become ADQs, and a write to W reloads all of them in its
+  // pre-issue pass: more predictions than fit beside the write.
+  constexpr size_t kCap = rt::ConcurrentApollo::kMaxBatchStatements;
+  constexpr size_t kAdqs = kCap + 1;
+  {
+    db::Schema s("W", {{"K", common::ValueType::kInt},
+                       {"V", common::ValueType::kInt}});
+    s.AddIndex("PRIMARY", {"K"});
+    ASSERT_TRUE(db_.CreateTable(std::move(s)).ok());
+    for (int k = 1; k <= 20; ++k) {
+      ASSERT_TRUE(db_.GetTable("W")
+                      ->Insert({common::Value::Int(k), common::Value::Int(k)})
+                      .ok());
+    }
+  }
+  rt::ConcurrentApolloConfig cfg;
+  cfg.apollo.enable_freshness_check = false;  // reload every ADQ on W
+  cfg.pool.num_threads = 2;
+  cfg.gateway.rtt = std::chrono::microseconds(300);
+  obs::Observability obs;
+  obs.trace.set_enabled(true);
+  rt::ConcurrentApollo apollo(&db_, cfg, &obs);
+  constexpr core::ClientId kSession = 0;
+  for (size_t n = 1; n <= kAdqs; ++n) {
+    ASSERT_TRUE(apollo
+                    .Execute(kSession, "SELECT K, V FROM W ORDER BY K LIMIT " +
+                                           std::to_string(n))
+                    .ok());
+    Drain(apollo);
+  }
+  ASSERT_EQ(apollo.dependency_graph().Adqs().size(), kAdqs);
+
+  const obs::MetricsRegistry& m = obs.metrics;
+  auto count = [&m](const char* name) { return m.FindCounter(name)->Value(); };
+  auto cached = [&obs] {
+    size_t n = 0;
+    for (const obs::TraceEvent& e : obs.trace.Events()) {
+      if (e.type == obs::TraceEventType::kPredictionCached) ++n;
+    }
+    return n;
+  };
+  const uint64_t batches0 = count("rt.gateway.batches");
+  const uint64_t stmts0 = count("rt.gateway.batch_statements");
+  const uint64_t issued0 = count("rt.predictions_issued");
+  const size_t cached0 = cached();
+  const obs::HistogramMetric* sizes = m.FindHistogram("rt.gateway.batch_size");
+  ASSERT_LT(sizes->Percentile(100), static_cast<int64_t>(kCap));
+
+  ASSERT_TRUE(apollo.Execute(kSession, "UPDATE W SET V = 7 WHERE K = 1").ok());
+  Drain(apollo);
+
+  // The write's envelope is full: the write plus kCap - 1 reloads. The two
+  // reloads that did not fit go out together in one more envelope, armed
+  // against the write's post-write visibility even if the pool arms them
+  // before the write lands (the cached pre-write results must not count).
+  EXPECT_EQ(sizes->Percentile(100), static_cast<int64_t>(kCap));
+  EXPECT_EQ(count("rt.gateway.batches") - batches0, 2u);
+  EXPECT_EQ(count("rt.gateway.batch_statements") - stmts0, 1 + kAdqs);
+  // Every reload was armed and landed in the cache.
+  EXPECT_EQ(count("rt.predictions_issued") - issued0, kAdqs);
+  EXPECT_EQ(cached() - cached0, kAdqs);
+  EXPECT_EQ(obs.trace.dropped(), 0u);
+  apollo.Shutdown();
+}
+
+// --------------------------------------------------------------------------
 // Contention suites (8 threads; run under TSan via check.sh --thread)
 // --------------------------------------------------------------------------
 
@@ -483,8 +590,6 @@ TEST_F(ShardContentionTest, EightThreadsLearnAcrossShardsConcurrently) {
   cfg.pool.num_threads = 8;
   cfg.pool.queue_capacity = 512;
   cfg.gateway.rtt = std::chrono::microseconds(200);
-  cfg.learn_shards = 4;  // 8 sessions over 4 shards: in-shard contention too
-  cfg.batch_wan = true;
   rt::ConcurrentApollo apollo(&db_, cfg);
 
   constexpr int kThreads = 8;
@@ -492,7 +597,12 @@ TEST_F(ShardContentionTest, EightThreadsLearnAcrossShardsConcurrently) {
   std::atomic<int> failures{0};
   std::vector<std::thread> workers;
   for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&, t] {
+    // Sessions t and t + kLearnShards share a shard: 8 sessions over 4
+    // shards, so learning contends within a shard as well as across.
+    const core::ClientId session =
+        (t % 4) + static_cast<core::ClientId>(
+                      (t / 4) * rt::ConcurrentApollo::kLearnShards);
+    workers.emplace_back([&, t, session] {
       for (int round = 1; round <= kRounds; ++round) {
         const int i = 20 * t + round;
         for (const std::string& sql :
@@ -500,11 +610,11 @@ TEST_F(ShardContentionTest, EightThreadsLearnAcrossShardsConcurrently) {
               "SELECT B_ID, B_C_ID FROM B WHERE B_ID = " +
                   std::to_string(1000 + i),
               "SELECT C_V FROM C WHERE C_ID = " + std::to_string(2000 + i)}) {
-          if (!apollo.Execute(t, sql).ok()) failures.fetch_add(1);
+          if (!apollo.Execute(session, sql).ok()) failures.fetch_add(1);
         }
         if (round % 4 == 0) {
           if (!apollo
-                   .Execute(t, "UPDATE C SET C_V = 1 WHERE C_ID = " +
+                   .Execute(session, "UPDATE C SET C_V = 1 WHERE C_ID = " +
                                    std::to_string(2000 + i))
                    .ok()) {
             failures.fetch_add(1);
@@ -518,27 +628,13 @@ TEST_F(ShardContentionTest, EightThreadsLearnAcrossShardsConcurrently) {
   auto& m = apollo.observability().metrics;
   EXPECT_EQ(m.FindCounter("rt.queries")->Value(),
             static_cast<uint64_t>(kThreads * kRounds * 3 + kThreads * 3));
-  // Sharding on: per-shard wait histograms exist and the aggregate saw
-  // every acquisition.
-  EXPECT_NE(m.FindHistogram("rt.latency.learn_shard0.lock_wait_wall_us"),
-            nullptr);
+  // Per-shard wait histograms exist and the aggregate saw every
+  // acquisition.
+  EXPECT_GT(
+      m.FindHistogram("rt.latency.learn_shard0.lock_wait_wall_us")->Count(),
+      0u);
   EXPECT_GT(
       m.FindHistogram("rt.latency.learn_lock_wait_wall_us")->Count(), 0u);
-  apollo.Shutdown();
-}
-
-TEST_F(ShardContentionTest, SingleShardConfigKeepsLegacyInstrumentSet) {
-  rt::ConcurrentApolloConfig cfg;
-  cfg.gateway.rtt = std::chrono::microseconds(50);
-  cfg.learn_shards = 1;
-  cfg.batch_wan = false;
-  rt::ConcurrentApollo apollo(&db_, cfg);
-  ASSERT_TRUE(
-      apollo.Execute(0, "SELECT C_V FROM C WHERE C_ID = 2001").ok());
-  auto& m = apollo.observability().metrics;
-  EXPECT_EQ(m.FindHistogram("rt.latency.learn_shard0.lock_wait_wall_us"),
-            nullptr);
-  EXPECT_EQ(m.FindCounter("rt.gateway.batches"), nullptr);
   apollo.Shutdown();
 }
 
